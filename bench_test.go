@@ -207,8 +207,8 @@ func BenchmarkAblation(b *testing.B) {
 }
 
 // BenchmarkExtensions covers the methods beyond the paper's table: the
-// structure-blind baselines, direct k-way multilevel, the genetic algorithm
-// the paper cites as prior work, and the parallel fusion-fission ensemble.
+// structure-blind baselines, direct k-way multilevel and the genetic algorithm
+// the paper cites as prior work.
 func BenchmarkExtensions(b *testing.B) {
 	g := benchGraph(b)
 	cases := []struct {
@@ -219,7 +219,6 @@ func BenchmarkExtensions(b *testing.B) {
 		{"scattered", 0},
 		{"multilevel-kway", 0},
 		{"genetic", 12},
-		{"fusion-fission-ensemble", 300},
 	}
 	for _, c := range cases {
 		b.Run(c.method, func(b *testing.B) {

@@ -67,8 +67,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range ff.Methods() {
-			fmt.Println(id)
+		for _, m := range ff.MethodInfos() {
+			fmt.Println(m.ID)
 		}
 		return
 	}
@@ -115,7 +115,7 @@ func main() {
 		K: *k, Method: *method, Objective: *obj,
 		Seed: *seed, Budget: *budget, MaxSteps: *steps,
 		Parallelism: parallelism,
-		Multilevel: *multi, CoarsenTo: *coarsenTo,
+		Multilevel:  *multi, CoarsenTo: *coarsenTo,
 		Relayout: *relayout,
 
 		MemeticCrossover: *memetic,

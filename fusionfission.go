@@ -68,55 +68,21 @@ func GenerateAirspace(spec AirspaceSpec) (*Graph, *AirspaceMeta, error) {
 // DefaultAirspace returns the paper-sized airspace specification.
 func DefaultAirspace() AirspaceSpec { return airspace.Default() }
 
-// methodIDs maps stable kebab-case identifiers to Table 1 row labels.
-var methodIDs = map[string]string{
-	"linear-bi":            "Linear (Bi)",
-	"linear-bi-kl":         "Linear (Bi, KL)",
-	"linear-oct-kl":        "Linear (Oct, KL)",
-	"spectral-lanc-bi":     "Spectral (Lanc, Bi)",
-	"spectral-lanc-bi-kl":  "Spectral (Lanc, Bi, KL)",
-	"spectral-lanc-oct":    "Spectral (Lanc, Oct)",
-	"spectral-lanc-oct-kl": "Spectral (Lanc, Oct, KL)",
-	"spectral-rqi-bi":      "Spectral (RQI, Bi)",
-	"spectral-rqi-bi-kl":   "Spectral (RQI, Bi, KL)",
-	"spectral-rqi-oct":     "Spectral (RQI, Oct)",
-	"spectral-rqi-oct-kl":  "Spectral (RQI, Oct, KL)",
-	"multilevel-bi":        "Multilevel (Bi)",
-	"multilevel-oct":       "Multilevel (Oct)",
-	"percolation":          "Percolation",
-	"annealing":            "Simulated annealing",
-	"ant-colony":           "Ant colony",
-	"fusion-fission":       "Fusion Fission",
-}
-
-// extensionIDs maps identifiers for the methods beyond the paper's Table 1
-// (see experiments.ExtensionMethods).
-var extensionIDs = map[string]string{
-	"random":                  "Random",
-	"scattered":               "Scattered",
-	"multilevel-kway":         "Multilevel (KWay)",
-	"genetic":                 "Genetic algorithm",
-	"fusion-fission-ensemble": "Fusion Fission (ensemble)",
-}
-
 // Methods returns the identifiers of the paper's seventeen Table 1 methods,
 // sorted.
-func Methods() []string {
-	out := make([]string, 0, len(methodIDs))
-	for id := range methodIDs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func Methods() []string { return methodIDs(false) }
 
 // ExtensionMethods returns the identifiers of the methods this repository
 // provides beyond the paper's table (baselines, direct k-way multilevel,
-// genetic algorithm, parallel fusion-fission ensemble), sorted.
-func ExtensionMethods() []string {
-	out := make([]string, 0, len(extensionIDs))
-	for id := range extensionIDs {
-		out = append(out, id)
+// genetic algorithm), sorted.
+func ExtensionMethods() []string { return methodIDs(true) }
+
+func methodIDs(extension bool) []string {
+	var out []string
+	for _, m := range experiments.Methods {
+		if m.Extension == extension {
+			out = append(out, m.ID)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -146,31 +112,23 @@ type MethodInfo struct {
 // MethodInfos returns metadata for every method, Table 1 rows first, both
 // groups sorted by ID.
 func MethodInfos() []MethodInfo {
-	var out []MethodInfo
-	for _, group := range []struct {
-		ids       map[string]string
-		extension bool
-	}{{methodIDs, false}, {extensionIDs, true}} {
-		start := len(out)
-		for id, label := range group.ids {
-			meta, multi, memetic := false, false, false
-			if spec, err := experiments.MethodByName(label); err == nil {
-				meta, multi, memetic = spec.Metaheuristic, spec.Multilevel, spec.Memetic
-			}
-			out = append(out, MethodInfo{ID: id, Label: label, Extension: group.extension, Metaheuristic: meta, Multilevel: multi, Memetic: memetic})
-		}
-		sort.Slice(out[start:], func(i, j int) bool { return out[start+i].ID < out[start+j].ID })
+	out := make([]MethodInfo, 0, len(experiments.Methods))
+	for _, m := range experiments.Methods {
+		out = append(out, MethodInfo{ID: m.ID, Label: m.Name, Extension: m.Extension, Metaheuristic: m.Metaheuristic, Multilevel: m.Multilevel, Memetic: m.Memetic})
 	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Extension != out[j].Extension {
+			return !out[i].Extension
+		}
+		return out[i].ID < out[j].ID
+	})
 	return out
 }
 
 // ValidMethod reports whether id names a known method.
 func ValidMethod(id string) bool {
-	_, ok := methodIDs[id]
-	if !ok {
-		_, ok = extensionIDs[id]
-	}
-	return ok
+	_, err := experiments.Method(id)
+	return err == nil
 }
 
 // MaxParallelism bounds Options.Parallelism: every portfolio worker is a
@@ -186,7 +144,7 @@ const MaxParallelism = 1024
 type Options struct {
 	// K is the number of parts (required, >= 1; metaheuristics need >= 2).
 	K int `json:"k"`
-	// Method is a Methods() identifier (default "fusion-fission").
+	// Method is any MethodInfos() id (default "fusion-fission").
 	Method string `json:"method,omitempty"`
 	// Objective is "mcut" (default), "cut" or "ncut"; it drives the
 	// metaheuristics and is ignored by the criterion-blind classical
@@ -294,60 +252,60 @@ func ReduceWinner(cands []ExchangeCandidate) (ExchangeCandidate, bool) {
 }
 
 // normalized fills defaults and resolves the method and objective, returning
-// the completed options alongside the experiments row label.
-func (o Options) normalized() (Options, string, objective.Objective, error) {
+// the completed options alongside the method's spec.
+func (o Options) normalized() (Options, experiments.MethodSpec, objective.Objective, error) {
 	if o.K < 1 {
-		return o, "", 0, fmt.Errorf("fusionfission: K=%d out of range (want K >= 1)", o.K)
+		return o, experiments.MethodSpec{}, 0, fmt.Errorf("fusionfission: K=%d out of range (want K >= 1)", o.K)
 	}
 	if o.Method == "" {
 		o.Method = "fusion-fission"
 	}
-	rowName, ok := methodIDs[o.Method]
-	if !ok {
-		rowName, ok = extensionIDs[o.Method]
+	spec, err := experiments.Method(o.Method)
+	if err != nil {
+		return o, spec, 0, fmt.Errorf("fusionfission: unknown method %q (see MethodInfos())", o.Method)
 	}
-	if !ok {
-		return o, "", 0, fmt.Errorf("fusionfission: unknown method %q (see Methods() and ExtensionMethods())", o.Method)
+	if spec.Metaheuristic && o.K < 2 {
+		// The solvers refuse k < 2; reject it here so no job is queued
+		// for a request that can only fail.
+		return o, spec, 0, fmt.Errorf("fusionfission: K=%d out of range for metaheuristic %q (want K >= 2)", o.K, o.Method)
 	}
 	if o.Objective == "" {
 		o.Objective = "mcut"
 	}
 	obj, err := objective.Parse(o.Objective)
 	if err != nil {
-		return o, "", 0, err
+		return o, spec, 0, err
 	}
 	if o.Budget == 0 {
 		o.Budget = 2 * time.Second
 	}
 	if o.Parallelism < 0 || o.Parallelism > MaxParallelism {
-		return o, "", 0, fmt.Errorf("fusionfission: Parallelism=%d out of range [0,%d]", o.Parallelism, MaxParallelism)
+		return o, spec, 0, fmt.Errorf("fusionfission: Parallelism=%d out of range [0,%d]", o.Parallelism, MaxParallelism)
 	}
 	if o.Parallelism == 0 {
 		o.Parallelism = 1
 	}
 	if o.CoarsenTo < 0 {
-		return o, "", 0, fmt.Errorf("fusionfission: CoarsenTo=%d must be >= 0", o.CoarsenTo)
+		return o, spec, 0, fmt.Errorf("fusionfission: CoarsenTo=%d must be >= 0", o.CoarsenTo)
 	}
 	if o.Island < 0 {
-		return o, "", 0, fmt.Errorf("fusionfission: Island=%d must be >= 0", o.Island)
+		return o, spec, 0, fmt.Errorf("fusionfission: Island=%d must be >= 0", o.Island)
 	}
-	if spec, err := experiments.MethodByName(rowName); err == nil {
-		// Classical methods ignore the portfolio entirely; pinning their
-		// width to 1 keeps equivalent requests on identical cache/coalescing
-		// keys. Same story for the V-cycle flags on methods that don't run
-		// inside the driver.
-		if !spec.Metaheuristic {
-			if len(o.WarmStart) > 0 {
-				return o, "", 0, fmt.Errorf("fusionfission: method %q is deterministic and cannot be warm-started", o.Method)
-			}
-			o.Parallelism = 1
+	// Classical methods ignore the portfolio entirely; pinning their width
+	// to 1 keeps equivalent requests on identical cache/coalescing keys.
+	// Same story for the V-cycle flags on methods that don't run inside the
+	// driver.
+	if !spec.Metaheuristic {
+		if len(o.WarmStart) > 0 {
+			return o, spec, 0, fmt.Errorf("fusionfission: method %q is deterministic and cannot be warm-started", o.Method)
 		}
-		if !spec.Multilevel {
-			o.Multilevel = false
-		}
-		if !spec.Memetic {
-			o.MemeticCrossover = false
-		}
+		o.Parallelism = 1
+	}
+	if !spec.Multilevel {
+		o.Multilevel = false
+	}
+	if !spec.Memetic {
+		o.MemeticCrossover = false
 	}
 	if len(o.WarmStart) > 0 {
 		// A warm seed replaces the V-cycle: the whole point is to repair the
@@ -364,7 +322,7 @@ func (o Options) normalized() (Options, string, objective.Objective, error) {
 	if !o.Multilevel && !o.MemeticCrossover {
 		o.CoarsenTo = 0
 	}
-	return o, rowName, obj, nil
+	return o, spec, obj, nil
 }
 
 // Normalize returns opt with all defaults filled in (method, objective,
@@ -473,16 +431,12 @@ func PartitionContext(ctx context.Context, g *Graph, opt Options) (*Result, erro
 // solve runs, mon reports the steps executed, the best objective value so
 // far and the portfolio width. A nil mon disables monitoring.
 func PartitionMonitored(ctx context.Context, g *Graph, opt Options, mon *Monitor) (*Result, error) {
-	opt, rowName, obj, err := opt.normalized()
+	opt, spec, obj, err := opt.normalized()
 	if err != nil {
 		return nil, err
 	}
 	if opt.K > g.NumVertices() {
 		return nil, fmt.Errorf("fusionfission: K=%d exceeds the vertex count %d", opt.K, g.NumVertices())
-	}
-	spec, err := experiments.MethodByName(rowName)
-	if err != nil {
-		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

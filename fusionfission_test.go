@@ -100,6 +100,7 @@ func TestFacadeKValidation(t *testing.T) {
 		{"zero", 0, "linear-bi", true},
 		{"zero default method", 0, "", true},
 		{"one classical", 1, "linear-bi", false},
+		{"one metaheuristic", 1, "annealing", true},
 		{"n classical", 8, "linear-bi", false},
 		{"n metaheuristic", 8, "fusion-fission", false},
 		{"beyond n", 9, "linear-bi", true},
@@ -130,6 +131,13 @@ func TestFacadeKValidation(t *testing.T) {
 	}
 	if _, err := Normalize(Options{K: -1}); err == nil {
 		t.Fatal("Normalize accepted K=-1")
+	}
+	// Metaheuristics need two parts; classical methods accept one.
+	if _, err := Normalize(Options{K: 1}); err == nil {
+		t.Fatal("Normalize accepted K=1 for the default metaheuristic")
+	}
+	if _, err := Normalize(Options{K: 1, Method: "linear-bi"}); err != nil {
+		t.Fatalf("Normalize rejected K=1 for a classical method: %v", err)
 	}
 	// Parallelism: negative and absurd widths are mistakes, not requests
 	// (every worker is a full concurrent solver instance); 0 normalizes to

@@ -24,9 +24,6 @@ import (
 //
 //	GOLDEN_UPDATE=1 go test -run TestGoldenMethodPartitions .
 //
-// The fusion-fission ensemble method is excluded: its default run count is
-// GOMAXPROCS, which varies across machines.
-//
 // Besides the per-method entries, the file pins named option-variant runs
 // (goldenVariants): "genetic+memetic" captures the memetic V-cycle
 // recombination mode of the GA, while the plain "genetic" entry keeps
@@ -56,17 +53,6 @@ type goldenFile struct {
 
 func goldenGraph() *Graph { return graph.Grid2D(12, 12) }
 
-func goldenMethodIDs() []string {
-	var ids []string
-	for _, id := range append(Methods(), ExtensionMethods()...) {
-		if id == "fusion-fission-ensemble" {
-			continue // default run count is GOMAXPROCS: machine-dependent
-		}
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 func goldenOptions(id string) Options {
 	return Options{
 		K: goldenK, Method: id, Seed: goldenSeed,
@@ -87,7 +73,7 @@ type goldenCase struct {
 // option variants.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
-	for _, id := range goldenMethodIDs() {
+	for _, id := range allMethodIDs() {
 		cases = append(cases, goldenCase{name: id, opt: goldenOptions(id)})
 	}
 	for _, v := range goldenVariants() {

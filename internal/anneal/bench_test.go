@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/objective"
-	"repro/internal/partition"
 	"repro/internal/order"
+	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/score"
 )

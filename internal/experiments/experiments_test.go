@@ -81,13 +81,38 @@ func TestTable1ShapeMetaheuristicsWinMcut(t *testing.T) {
 	}
 }
 
-func TestMethodByName(t *testing.T) {
-	if _, err := MethodByName("Fusion Fission"); err != nil {
-		t.Fatal(err)
+func TestMethod(t *testing.T) {
+	if m := mustMethod(t, "fusion-fission"); m.Name != "Fusion Fission" {
+		t.Fatalf("fusion-fission label = %q", m.Name)
 	}
-	if _, err := MethodByName("nope"); err == nil {
+	if _, err := Method("Fusion Fission"); err == nil {
+		t.Fatal("lookup by label accepted")
+	}
+	if _, err := Method("nope"); err == nil {
 		t.Fatal("unknown method accepted")
 	}
+	// Table 1 rows come first, in the paper's order, then the extensions.
+	table1 := 0
+	for i, m := range Methods {
+		if !m.Extension {
+			if i != table1 {
+				t.Fatalf("Table 1 row %q at %d follows an extension", m.Name, i)
+			}
+			table1++
+		}
+	}
+	if table1 != 17 || Methods[table1-1].ID != "fusion-fission" {
+		t.Fatalf("%d Table 1 rows ending in %q, want 17 ending in fusion-fission", table1, Methods[table1-1].ID)
+	}
+}
+
+func mustMethod(tb testing.TB, id string) MethodSpec {
+	tb.Helper()
+	spec, err := Method(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return spec
 }
 
 func TestFigure1SeriesShape(t *testing.T) {

@@ -98,17 +98,21 @@ type RunResult struct {
 	Hierarchy *vcycle.Stats
 }
 
-// MethodSpec describes one Table 1 row.
+// MethodSpec describes one method: a Table 1 row or an extension.
 type MethodSpec struct {
+	// ID is the stable kebab-case identifier the facade accepts as
+	// Options.Method.
+	ID string
 	// Name is the row label, matching the paper's abbreviations.
 	Name string
+	// Extension marks methods beyond the paper's Table 1.
+	Extension bool
 	// Metaheuristic marks the rows that target a specific objective and
 	// accept a time budget and a portfolio width.
 	Metaheuristic bool
 	// Multilevel marks the metaheuristics that can run inside the V-cycle
 	// driver (RunConfig.Multilevel). The classical multilevel rows are their
-	// own multilevel scheme and the ensemble manages its own workers, so
-	// neither carries the flag.
+	// own multilevel scheme and do not carry the flag.
 	Multilevel bool
 	// Memetic marks the methods that honour RunConfig.MemeticCrossover
 	// (currently the genetic algorithm only).
@@ -121,82 +125,95 @@ type MethodSpec struct {
 	Run func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error)
 }
 
-// Methods lists the Table 1 rows in the paper's order.
+// Methods is the method table: the seventeen Table 1 rows in the paper's
+// order, followed by the extensions — the remaining Chaco-style baselines,
+// the direct k-way multilevel scheme and the genetic-algorithm
+// metaheuristic the paper's introduction cites as prior work. Extensions
+// never appear in the Table 1 reproduction, only through the facade and the
+// ablation benches.
 var Methods = []MethodSpec{
-	{Name: "Linear (Bi)", Run: runLinear(2, false)},
-	{Name: "Linear (Bi, KL)", Run: runLinear(2, true)},
-	{Name: "Linear (Oct, KL)", Run: runLinear(8, true)},
-	{Name: "Spectral (Lanc, Bi)", Run: runSpectral(spectral.Lanczos, 2, false)},
-	{Name: "Spectral (Lanc, Bi, KL)", Run: runSpectral(spectral.Lanczos, 2, true)},
-	{Name: "Spectral (Lanc, Oct)", Run: runSpectral(spectral.Lanczos, 8, false)},
-	{Name: "Spectral (Lanc, Oct, KL)", Run: runSpectral(spectral.Lanczos, 8, true)},
-	{Name: "Spectral (RQI, Bi)", Run: runSpectral(spectral.RQI, 2, false)},
-	{Name: "Spectral (RQI, Bi, KL)", Run: runSpectral(spectral.RQI, 2, true)},
-	{Name: "Spectral (RQI, Oct)", Run: runSpectral(spectral.RQI, 8, false)},
-	{Name: "Spectral (RQI, Oct, KL)", Run: runSpectral(spectral.RQI, 8, true)},
-	{Name: "Multilevel (Bi)", Run: runMultilevel(2)},
-	{Name: "Multilevel (Oct)", Run: runMultilevel(8)},
-	{Name: "Percolation", Run: runPercolation},
-	{Name: "Simulated annealing", Metaheuristic: true, Multilevel: true, Run: runAnneal},
-	{Name: "Ant colony", Metaheuristic: true, Multilevel: true, Run: runAntColony},
-	{Name: "Fusion Fission", Metaheuristic: true, Multilevel: true, Run: runFusionFission},
-}
+	{ID: "linear-bi", Name: "Linear (Bi)", Run: runLinear(2, false)},
+	{ID: "linear-bi-kl", Name: "Linear (Bi, KL)", Run: runLinear(2, true)},
+	{ID: "linear-oct-kl", Name: "Linear (Oct, KL)", Run: runLinear(8, true)},
+	{ID: "spectral-lanc-bi", Name: "Spectral (Lanc, Bi)", Run: runSpectral(spectral.Lanczos, 2, false)},
+	{ID: "spectral-lanc-bi-kl", Name: "Spectral (Lanc, Bi, KL)", Run: runSpectral(spectral.Lanczos, 2, true)},
+	{ID: "spectral-lanc-oct", Name: "Spectral (Lanc, Oct)", Run: runSpectral(spectral.Lanczos, 8, false)},
+	{ID: "spectral-lanc-oct-kl", Name: "Spectral (Lanc, Oct, KL)", Run: runSpectral(spectral.Lanczos, 8, true)},
+	{ID: "spectral-rqi-bi", Name: "Spectral (RQI, Bi)", Run: runSpectral(spectral.RQI, 2, false)},
+	{ID: "spectral-rqi-bi-kl", Name: "Spectral (RQI, Bi, KL)", Run: runSpectral(spectral.RQI, 2, true)},
+	{ID: "spectral-rqi-oct", Name: "Spectral (RQI, Oct)", Run: runSpectral(spectral.RQI, 8, false)},
+	{ID: "spectral-rqi-oct-kl", Name: "Spectral (RQI, Oct, KL)", Run: runSpectral(spectral.RQI, 8, true)},
+	{ID: "multilevel-bi", Name: "Multilevel (Bi)", Run: runMultilevel(2)},
+	{ID: "multilevel-oct", Name: "Multilevel (Oct)", Run: runMultilevel(8)},
+	{ID: "percolation", Name: "Percolation", Run: runPercolation},
+	{ID: "annealing", Name: "Simulated annealing", Metaheuristic: true, Multilevel: true, Run: metaheuristic{
+		// Annealing moves are cheap, so workers exchange on a coarse cadence.
+		syncEvery: 16_384, steps: 2_000_000,
+		solve: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, rt *engine.Runtime, init *partition.P) (*partition.P, float64, bool, error) {
+			res, err := anneal.PartitionContext(ctx, g, k, anneal.Options{
+				Objective: cfg.Objective, Budget: cfg.Budget, MaxSteps: cfg.MaxSteps, Seed: cfg.Seed, Runtime: rt, Initial: init,
+			})
+			if err != nil {
+				return nil, 0, false, err
+			}
+			return res.Best, res.Energy, res.Cancelled, nil
+		},
+	}.run},
+	{ID: "ant-colony", Name: "Ant colony", Metaheuristic: true, Multilevel: true, Run: metaheuristic{
+		// One step is a whole colony iteration: exchange often.
+		syncEvery: 32, steps: 1_000_000,
+		solve: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, rt *engine.Runtime, init *partition.P) (*partition.P, float64, bool, error) {
+			res, err := antcolony.PartitionContext(ctx, g, k, antcolony.Options{
+				Objective: cfg.Objective, Budget: cfg.Budget, Iterations: cfg.MaxSteps, Seed: cfg.Seed, Runtime: rt, Initial: init,
+			})
+			if err != nil {
+				return nil, 0, false, err
+			}
+			return res.Best, res.Energy, res.Cancelled, nil
+		},
+	}.run},
+	{ID: "fusion-fission", Name: "Fusion Fission", Metaheuristic: true, Multilevel: true, Run: metaheuristic{
+		syncEvery: 1024, steps: 2_000_000, vertexSlots: true,
+		solve: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, rt *engine.Runtime, init *partition.P) (*partition.P, float64, bool, error) {
+			res, err := core.PartitionContext(ctx, g, k, core.Options{
+				Objective: cfg.Objective, Budget: cfg.Budget, MaxSteps: cfg.MaxSteps, Seed: cfg.Seed, Runtime: rt, Initial: init,
+			})
+			if err != nil {
+				return nil, 0, false, err
+			}
+			return res.Best, res.Energy, res.Cancelled, nil
+		},
+	}.run},
 
-// ExtensionMethods lists partitioners beyond the paper's Table 1: the
-// remaining Chaco-style baselines, the direct k-way multilevel scheme, the
-// genetic-algorithm metaheuristic the paper's introduction cites as prior
-// work, and the parallel fusion-fission ensemble. They never appear in the
-// Table 1 reproduction, only through the facade and the ablation benches.
-var ExtensionMethods = []MethodSpec{
-	{Name: "Random", Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
+	{ID: "random", Name: "Random", Extension: true, Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
 		if err := ctx.Err(); err != nil {
 			return RunResult{}, err
 		}
 		p, err := linear.Random(g, k, cfg.Seed)
 		return serial(p), err
 	}},
-	{Name: "Scattered", Run: func(ctx context.Context, g *graph.Graph, k int, _ RunConfig) (RunResult, error) {
+	{ID: "scattered", Name: "Scattered", Extension: true, Run: func(ctx context.Context, g *graph.Graph, k int, _ RunConfig) (RunResult, error) {
 		if err := ctx.Err(); err != nil {
 			return RunResult{}, err
 		}
 		p, err := linear.Scattered(g, k)
 		return serial(p), err
 	}},
-	{Name: "Multilevel (KWay)", Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
+	{ID: "multilevel-kway", Name: "Multilevel (KWay)", Extension: true, Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
 		p, err := multilevel.PartitionKWayContext(ctx, g, k, multilevel.Options{Seed: cfg.Seed})
 		return serial(p), err
 	}},
-	{Name: "Genetic algorithm", Metaheuristic: true, Multilevel: true, Memetic: true, Run: runGenetic},
-	{Name: "Fusion Fission (ensemble)", Metaheuristic: true, Run: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-		init, err := warmInitial(g, cfg, g.NumVertices())
-		if err != nil {
-			return RunResult{}, err
-		}
-		res, err := core.EnsembleContext(ctx, g, k, core.EnsembleOptions{Base: core.Options{
-			Objective: cfg.Objective, Budget: cfg.Budget, MaxSteps: stepsOr(cfg.MaxSteps, 2_000_000), Seed: cfg.Seed,
-			Initial: init,
-		}})
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{P: res.Best, Partial: res.Cancelled, Workers: 1}, nil
-	}},
+	{ID: "genetic", Name: "Genetic algorithm", Extension: true, Metaheuristic: true, Multilevel: true, Memetic: true, Run: runGenetic},
 }
 
-// MethodByName returns the spec with the given row label, searching the
-// Table 1 rows first and the extensions second.
-func MethodByName(name string) (MethodSpec, error) {
+// Method returns the spec with the given identifier.
+func Method(id string) (MethodSpec, error) {
 	for _, m := range Methods {
-		if m.Name == name {
+		if m.ID == id {
 			return m, nil
 		}
 	}
-	for _, m := range ExtensionMethods {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return MethodSpec{}, fmt.Errorf("experiments: unknown method %q", name)
+	return MethodSpec{}, fmt.Errorf("experiments: unknown method %q", id)
 }
 
 func serial(p *partition.P) RunResult { return RunResult{P: p, Workers: 1} }
@@ -222,16 +239,67 @@ func portfolio[R any](ctx context.Context, cfg RunConfig, syncEvery int,
 	}, energy, solve)
 }
 
-// vcSolver adapts one metaheuristic to the coarsest level of a V-cycle.
-// budget is the wall-clock share the driver grants the solve, seed the
-// portfolio worker's derived seed, rt a monitor-only runtime (or nil).
-type vcSolver func(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error)
+// metaheuristic is the generic driver behind every engine-backed row: it
+// runs the solver flat as a portfolio or inside a V-cycle and assembles the
+// RunResult. Each solver contributes only what differs between them.
+type metaheuristic struct {
+	// syncEvery is the flat portfolio's incumbent-exchange cadence in the
+	// solver's own step unit.
+	syncEvery int
+	// steps is the default step cap, used when RunConfig.MaxSteps is 0.
+	steps int
+	// vertexSlots gives a warm start one part slot per vertex instead of k:
+	// fusion-fission needs them so atoms can split freely, the others want
+	// exactly k to keep their per-part scans tight.
+	vertexSlots bool
+	// solve runs the solver once. cfg carries the worker's seed and budget
+	// and the resolved step cap; init is the warm start, or nil.
+	solve func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, rt *engine.Runtime, init *partition.P) (best *partition.P, energy float64, cancelled bool, err error)
+}
 
-// runVCycle runs solve inside a multilevel V-cycle, as a portfolio when
+func (m metaheuristic) run(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
+	cfg.MaxSteps = stepsOr(cfg.MaxSteps, m.steps)
+	if cfg.Multilevel {
+		return m.runVCycle(ctx, g, k, cfg)
+	}
+	// The flat portfolio reduces on the solver's own energy.
+	type out struct {
+		p         *partition.P
+		energy    float64
+		cancelled bool
+	}
+	res, workers, err := portfolio(ctx, cfg, m.syncEvery,
+		func(o out) float64 { return o.energy },
+		func(ctx context.Context, rt *engine.Runtime, seed int64) (out, error) {
+			p, energy, cancelled, err := m.worker(ctx, g, k, cfg, cfg.Budget, seed, rt)
+			return out{p, energy, cancelled}, err
+		})
+	if err != nil {
+		return RunResult{}, err
+	}
+	return RunResult{P: res.p, Partial: res.cancelled, Workers: workers}, nil
+}
+
+// worker runs one portfolio worker's solve on g, the input graph or a
+// V-cycle's coarsest level, with the worker's budget and derived seed.
+func (m metaheuristic) worker(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, float64, bool, error) {
+	capacity := k
+	if m.vertexSlots {
+		capacity = g.NumVertices()
+	}
+	init, err := warmInitial(g, cfg, capacity)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	cfg.Budget, cfg.Seed = budget, seed
+	return m.solve(ctx, g, k, cfg, rt, init)
+}
+
+// runVCycle runs the solver inside a multilevel V-cycle, as a portfolio when
 // cfg.Parallelism asks for one: the hierarchy is coarsened once from the
 // base seed and shared by every worker, each worker V-cycles independently
 // from its derived seed, and incumbents are exchanged at level boundaries.
-func runVCycle(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, solve vcSolver) (RunResult, error) {
+func (m metaheuristic) runVCycle(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
 	if cfg.WarmStart != nil {
 		// The V-cycle's solver runs on the coarsest graph, where a
 		// fine-graph assignment is meaningless; callers must choose.
@@ -257,13 +325,16 @@ func runVCycle(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, solve 
 		p       *partition.P
 		partial bool
 	}
+	// Workers are reduced on the fine-graph objective: the solver's own
+	// energy scores the coarsest level only.
 	res, workers, err := portfolio(ctx, cfg, 0, // boundary exchanges only, no step cadence
 		func(o out) float64 { return cfg.Objective.Evaluate(o.p) },
 		func(ctx context.Context, rt *engine.Runtime, seed int64) (out, error) {
 			p, partial, err := vcycle.Run(ctx, h, k, vcycle.Options{
 				Objective: cfg.Objective, Budget: budget, Runtime: rt,
-			}, func(sctx context.Context, cg *graph.Graph, k int, budget time.Duration, srt *engine.Runtime) (*partition.P, bool, error) {
-				return solve(sctx, cg, k, cfg, budget, seed, srt)
+			}, func(sctx context.Context, cg *graph.Graph, _ int, budget time.Duration, srt *engine.Runtime) (*partition.P, bool, error) {
+				p, _, cancelled, err := m.worker(sctx, cg, k, cfg, budget, seed, srt)
+				return p, cancelled, err
 			})
 			return out{p, partial}, err
 		})
@@ -299,150 +370,27 @@ func runPercolation(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (
 	return serial(p), err
 }
 
-func runAnneal(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-	if cfg.Multilevel {
-		return runVCycle(ctx, g, k, cfg, annealSolve)
-	}
-	// Annealing moves are cheap, so workers exchange on a coarse cadence.
-	res, workers, err := portfolio(ctx, cfg, 16_384,
-		func(r *anneal.Result) float64 { return r.Energy },
-		func(ctx context.Context, rt *engine.Runtime, seed int64) (*anneal.Result, error) {
-			res, err := annealSolveRes(ctx, g, k, cfg, cfg.Budget, seed, rt)
-			return res, err
-		})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{P: res.Best, Partial: res.Cancelled, Workers: workers}, nil
-}
-
-func annealSolveRes(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*anneal.Result, error) {
-	init, err := warmInitial(g, cfg, k)
-	if err != nil {
-		return nil, err
-	}
-	return anneal.PartitionContext(ctx, g, k, anneal.Options{
-		Objective: cfg.Objective, Budget: budget,
-		MaxSteps: stepsOr(cfg.MaxSteps, 2_000_000), Seed: seed, Runtime: rt,
-		Initial: init,
-	})
-}
-
-func annealSolve(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error) {
-	res, err := annealSolveRes(ctx, cg, k, cfg, budget, seed, rt)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Best, res.Cancelled, nil
-}
-
-func runAntColony(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-	if cfg.Multilevel {
-		return runVCycle(ctx, g, k, cfg, antColonySolve)
-	}
-	// One step is a whole colony iteration: exchange often.
-	res, workers, err := portfolio(ctx, cfg, 32,
-		func(r *antcolony.Result) float64 { return r.Energy },
-		func(ctx context.Context, rt *engine.Runtime, seed int64) (*antcolony.Result, error) {
-			return antColonySolveRes(ctx, g, k, cfg, cfg.Budget, seed, rt)
-		})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{P: res.Best, Partial: res.Cancelled, Workers: workers}, nil
-}
-
-func antColonySolveRes(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*antcolony.Result, error) {
-	init, err := warmInitial(g, cfg, k)
-	if err != nil {
-		return nil, err
-	}
-	return antcolony.PartitionContext(ctx, g, k, antcolony.Options{
-		Objective: cfg.Objective, Budget: budget,
-		Iterations: stepsOr(cfg.MaxSteps, 1_000_000), Seed: seed, Runtime: rt,
-		Initial: init,
-	})
-}
-
-func antColonySolve(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error) {
-	res, err := antColonySolveRes(ctx, cg, k, cfg, budget, seed, rt)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Best, res.Cancelled, nil
-}
-
-func runFusionFission(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-	if cfg.Multilevel {
-		return runVCycle(ctx, g, k, cfg, fusionFissionSolve)
-	}
-	res, workers, err := portfolio(ctx, cfg, 1024,
-		func(r *core.Result) float64 { return r.Energy },
-		func(ctx context.Context, rt *engine.Runtime, seed int64) (*core.Result, error) {
-			return fusionFissionSolveRes(ctx, g, k, cfg, cfg.Budget, seed, rt)
-		})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{P: res.Best, Partial: res.Cancelled, Workers: workers}, nil
-}
-
-func fusionFissionSolveRes(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*core.Result, error) {
-	// Fusion-fission needs a part slot per vertex so atoms can split freely.
-	init, err := warmInitial(g, cfg, g.NumVertices())
-	if err != nil {
-		return nil, err
-	}
-	return core.PartitionContext(ctx, g, k, core.Options{
-		Objective: cfg.Objective, Budget: budget,
-		MaxSteps: stepsOr(cfg.MaxSteps, 2_000_000), Seed: seed, Runtime: rt,
-		Initial: init,
-	})
-}
-
-func fusionFissionSolve(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error) {
-	res, err := fusionFissionSolveRes(ctx, cg, k, cfg, budget, seed, rt)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Best, res.Cancelled, nil
-}
-
+// runGenetic drives the GA. Memetic recombination is its multilevel mode,
+// so MemeticCrossover takes precedence over the outer V-cycle: running it
+// inside one would recombine coarse-graph phenotypes.
 func runGenetic(ctx context.Context, g *graph.Graph, k int, cfg RunConfig) (RunResult, error) {
-	if cfg.Multilevel && !cfg.MemeticCrossover {
-		return runVCycle(ctx, g, k, cfg, geneticSolve)
+	if cfg.MemeticCrossover {
+		cfg.Multilevel = false
 	}
-	// One step is a whole generation: exchange often.
-	res, workers, err := portfolio(ctx, cfg, 4,
-		func(r *genetic.Result) float64 { return r.Energy },
-		func(ctx context.Context, rt *engine.Runtime, seed int64) (*genetic.Result, error) {
-			return geneticSolveRes(ctx, g, k, cfg, cfg.Budget, seed, rt)
-		})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{P: res.Best, Partial: res.Cancelled, Workers: workers}, nil
-}
-
-func geneticSolveRes(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*genetic.Result, error) {
-	init, err := warmInitial(g, cfg, k)
-	if err != nil {
-		return nil, err
-	}
-	return genetic.PartitionContext(ctx, g, k, genetic.Options{
-		Objective: cfg.Objective, Budget: budget,
-		Generations: stepsOr(cfg.MaxSteps, 100_000), Seed: seed, Runtime: rt,
-		Initial:          init,
-		MemeticCrossover: cfg.MemeticCrossover, CoarsenTo: cfg.CoarsenTo,
-	})
-}
-
-func geneticSolve(ctx context.Context, cg *graph.Graph, k int, cfg RunConfig, budget time.Duration, seed int64, rt *engine.Runtime) (*partition.P, bool, error) {
-	res, err := geneticSolveRes(ctx, cg, k, cfg, budget, seed, rt)
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Best, res.Cancelled, nil
+	return metaheuristic{
+		// One step is a whole generation: exchange often.
+		syncEvery: 4, steps: 100_000,
+		solve: func(ctx context.Context, g *graph.Graph, k int, cfg RunConfig, rt *engine.Runtime, init *partition.P) (*partition.P, float64, bool, error) {
+			res, err := genetic.PartitionContext(ctx, g, k, genetic.Options{
+				Objective: cfg.Objective, Budget: cfg.Budget, Generations: cfg.MaxSteps, Seed: cfg.Seed, Runtime: rt, Initial: init,
+				MemeticCrossover: cfg.MemeticCrossover, CoarsenTo: cfg.CoarsenTo,
+			})
+			if err != nil {
+				return nil, 0, false, err
+			}
+			return res.Best, res.Energy, res.Cancelled, nil
+		},
+	}.run(ctx, g, k, cfg)
 }
 
 // warmInitial materializes cfg.WarmStart as a starting partition for the

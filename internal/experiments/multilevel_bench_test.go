@@ -29,11 +29,7 @@ import (
 
 func multilevelSolve(tb testing.TB, g *graph.Graph, k int, cfg RunConfig) (float64, *vcycle.Stats) {
 	tb.Helper()
-	spec, err := MethodByName("Fusion Fission")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	res, err := spec.Run(context.Background(), g, k, cfg)
+	res, err := mustMethod(tb, "fusion-fission").Run(context.Background(), g, k, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -117,10 +113,7 @@ func TestWriteMultilevelBaseline(t *testing.T) {
 	}
 
 	// Determinism of the multilevel portfolio under a step cap.
-	spec, err := MethodByName("Fusion Fission")
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := mustMethod(t, "fusion-fission")
 	compose := func() ([]int32, float64) {
 		res, err := spec.Run(context.Background(), g, k, RunConfig{
 			Objective: objective.MCut, MaxSteps: 2000, Seed: 1,

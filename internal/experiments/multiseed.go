@@ -40,7 +40,8 @@ type VarianceOptions struct {
 	Objective objective.Objective
 	// Budget per run (default 1s).
 	Budget time.Duration
-	// Methods restricts the study; nil means the three metaheuristics.
+	// Methods restricts the study to these method ids; nil means the three
+	// Table 1 metaheuristics.
 	Methods []string
 	// Workers caps concurrent runs (default GOMAXPROCS).
 	Workers int
@@ -71,7 +72,7 @@ func RunVariance(g *graph.Graph, opt VarianceOptions) ([]VarianceRow, error) {
 	}
 	methods := opt.Methods
 	if methods == nil {
-		methods = []string{"Simulated annealing", "Ant colony", "Fusion Fission"}
+		methods = []string{"annealing", "ant-colony", "fusion-fission"}
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -96,7 +97,7 @@ func RunVariance(g *graph.Graph, opt VarianceOptions) ([]VarianceRow, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				spec, err := MethodByName(j.method)
+				spec, err := Method(j.method)
 				if err != nil {
 					results <- outcome{method: j.method, err: err}
 					continue
@@ -133,7 +134,11 @@ func RunVariance(g *graph.Graph, opt VarianceOptions) ([]VarianceRow, error) {
 	acc := make(map[string]*VarianceRow, len(methods))
 	values := make(map[string][]float64, len(methods))
 	for _, m := range methods {
-		acc[m] = &VarianceRow{Name: m, Objective: opt.Objective, Min: math.Inf(1), Max: math.Inf(-1)}
+		name := m
+		if spec, err := Method(m); err == nil {
+			name = spec.Name
+		}
+		acc[m] = &VarianceRow{Name: name, Objective: opt.Objective, Min: math.Inf(1), Max: math.Inf(-1)}
 	}
 	for out := range results {
 		row := acc[out.method]

@@ -61,7 +61,7 @@ func TestRunVarianceSubsetAndErrors(t *testing.T) {
 	rows, err := RunVariance(g, VarianceOptions{
 		K:       6,
 		Seeds:   []int64{1, 2},
-		Methods: []string{"Percolation"},
+		Methods: []string{"percolation"},
 		Budget:  50 * time.Millisecond,
 	})
 	if err != nil {
@@ -73,7 +73,7 @@ func TestRunVarianceSubsetAndErrors(t *testing.T) {
 	rows, err = RunVariance(g, VarianceOptions{
 		K:       6,
 		Seeds:   []int64{1},
-		Methods: []string{"No Such Method"},
+		Methods: []string{"no-such-method"},
 		Budget:  10 * time.Millisecond,
 	})
 	if err != nil {

@@ -52,8 +52,11 @@ func Table1(g *graph.Graph, opt Table1Options) []Table1Row {
 	if opt.MetaBudget == 0 {
 		opt.MetaBudget = 2 * time.Second
 	}
-	rows := make([]Table1Row, 0, len(Methods))
+	var rows []Table1Row
 	for _, m := range Methods {
+		if m.Extension {
+			continue
+		}
 		row := Table1Row{Name: m.Name}
 		start := time.Now()
 		if !m.Metaheuristic {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/coarsen"
 	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/partition"
@@ -38,7 +39,7 @@ func PartitionKWayContext(ctx context.Context, g *graph.Graph, k int, opt Option
 	if opt.Imbalance == 0 {
 		opt.Imbalance = 0.05
 	}
-	ladder := CoarsenHEM(g, opt.CoarsenTo, opt.Seed)
+	ladder := coarsen.HEM(g, opt.CoarsenTo, opt.Seed)
 	coarsest := g
 	if len(ladder) > 0 {
 		coarsest = ladder[len(ladder)-1].G

@@ -423,7 +423,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 }
 
 func TestMalformedPayloads(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 
 	square := GraphSpec{N: 4, Edges: [][]float64{{0, 1}, {1, 2}, {2, 3}, {3, 0}}}
 	cases := []struct {
@@ -437,6 +437,7 @@ func TestMalformedPayloads(t *testing.T) {
 		{"both encodings", PartitionRequest{K: 2, Graph: GraphSpec{METIS: "1 0\n\n", N: 1}}, http.StatusBadRequest},
 		{"zero k", PartitionRequest{Graph: square, K: 0}, http.StatusBadRequest},
 		{"k exceeds n", PartitionRequest{Graph: square, K: 9}, http.StatusBadRequest},
+		{"one part metaheuristic", PartitionRequest{Graph: square, K: 1}, http.StatusBadRequest},
 		{"unknown method", PartitionRequest{Graph: square, K: 2, Method: "magic"}, http.StatusBadRequest},
 		{"bad objective", PartitionRequest{Graph: square, K: 2, Objective: "mincut"}, http.StatusBadRequest},
 		{"bad budget", PartitionRequest{Graph: square, K: 2, Budget: "fast"}, http.StatusBadRequest},
@@ -461,6 +462,10 @@ func TestMalformedPayloads(t *testing.T) {
 				t.Fatal("error body missing")
 			}
 		})
+	}
+	// Rejection happens at admission: no malformed request takes a worker.
+	if stats := s.pool.snapshot(); stats.Submitted != 0 {
+		t.Fatalf("malformed requests reached the pool: %+v", stats)
 	}
 
 	// Wrong verbs.
@@ -504,7 +509,7 @@ func TestMethodsEndpoint(t *testing.T) {
 			table1++
 		}
 	}
-	if table1 != 17 || ext != 5 {
+	if table1 != 17 || ext != 4 {
 		t.Fatalf("got %d table-1 and %d extension methods", table1, ext)
 	}
 	if m := byID["fusion-fission"]; !m.Metaheuristic || m.Label != "Fusion Fission" {

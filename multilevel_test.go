@@ -27,9 +27,9 @@ func TestMultilevelOptionsNormalize(t *testing.T) {
 	if o.Multilevel || o.CoarsenTo != 0 {
 		t.Fatalf("normalized = %+v, want coarsen_to cleared", o)
 	}
-	// Non-supporting methods (classical, and the ensemble which manages its
-	// own workers) get both flags cleared, like Parallelism pinning.
-	for _, method := range []string{"multilevel-bi", "spectral-lanc-bi", "fusion-fission-ensemble"} {
+	// Non-supporting (classical) methods get both flags cleared, like
+	// Parallelism pinning.
+	for _, method := range []string{"multilevel-bi", "spectral-lanc-bi"} {
 		o, err = ff.Normalize(ff.Options{K: 4, Method: method, Multilevel: true, CoarsenTo: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -112,19 +112,54 @@ func TestMultilevelPartitionEndToEnd(t *testing.T) {
 	}
 }
 
+// TestMethodInfosMultilevelFlags pins the whole method table as the facade
+// and GET /v1/methods publish it: order, ids, labels and every capability
+// flag, together with the Methods/ExtensionMethods/ValidMethod views.
 func TestMethodInfosMultilevelFlags(t *testing.T) {
-	want := map[string]bool{
-		"fusion-fission": true,
-		"annealing":      true,
-		"ant-colony":     true,
-		"genetic":        true,
+	want := []ff.MethodInfo{
+		{ID: "annealing", Label: "Simulated annealing", Metaheuristic: true, Multilevel: true},
+		{ID: "ant-colony", Label: "Ant colony", Metaheuristic: true, Multilevel: true},
+		{ID: "fusion-fission", Label: "Fusion Fission", Metaheuristic: true, Multilevel: true},
+		{ID: "linear-bi", Label: "Linear (Bi)"},
+		{ID: "linear-bi-kl", Label: "Linear (Bi, KL)"},
+		{ID: "linear-oct-kl", Label: "Linear (Oct, KL)"},
+		{ID: "multilevel-bi", Label: "Multilevel (Bi)"},
+		{ID: "multilevel-oct", Label: "Multilevel (Oct)"},
+		{ID: "percolation", Label: "Percolation"},
+		{ID: "spectral-lanc-bi", Label: "Spectral (Lanc, Bi)"},
+		{ID: "spectral-lanc-bi-kl", Label: "Spectral (Lanc, Bi, KL)"},
+		{ID: "spectral-lanc-oct", Label: "Spectral (Lanc, Oct)"},
+		{ID: "spectral-lanc-oct-kl", Label: "Spectral (Lanc, Oct, KL)"},
+		{ID: "spectral-rqi-bi", Label: "Spectral (RQI, Bi)"},
+		{ID: "spectral-rqi-bi-kl", Label: "Spectral (RQI, Bi, KL)"},
+		{ID: "spectral-rqi-oct", Label: "Spectral (RQI, Oct)"},
+		{ID: "spectral-rqi-oct-kl", Label: "Spectral (RQI, Oct, KL)"},
+		{ID: "genetic", Label: "Genetic algorithm", Extension: true, Metaheuristic: true, Multilevel: true, Memetic: true},
+		{ID: "multilevel-kway", Label: "Multilevel (KWay)", Extension: true},
+		{ID: "random", Label: "Random", Extension: true},
+		{ID: "scattered", Label: "Scattered", Extension: true},
 	}
-	for _, mi := range ff.MethodInfos() {
-		if mi.Multilevel != want[mi.ID] {
-			t.Errorf("%s: multilevel = %v, want %v", mi.ID, mi.Multilevel, want[mi.ID])
+	if got := ff.MethodInfos(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("MethodInfos() =\n%+v\nwant\n%+v", got, want)
+	}
+	var table1, ext []string
+	for _, mi := range want {
+		if mi.Extension {
+			ext = append(ext, mi.ID)
+		} else {
+			table1 = append(table1, mi.ID)
 		}
-		if mi.Multilevel && !mi.Metaheuristic {
-			t.Errorf("%s: multilevel but not metaheuristic", mi.ID)
+		if !ff.ValidMethod(mi.ID) {
+			t.Errorf("ValidMethod(%q) = false", mi.ID)
 		}
+	}
+	if got := ff.Methods(); !reflect.DeepEqual(got, table1) {
+		t.Errorf("Methods() = %v, want the 17 Table 1 rows %v", got, table1)
+	}
+	if got := ff.ExtensionMethods(); !reflect.DeepEqual(got, ext) {
+		t.Errorf("ExtensionMethods() = %v, want %v", got, ext)
+	}
+	if ff.ValidMethod("Fusion Fission") {
+		t.Error("a label was accepted as a method id")
 	}
 }

@@ -15,7 +15,7 @@ import (
 func metaheuristicIDs() []string {
 	var ids []string
 	for _, info := range MethodInfos() {
-		if info.Metaheuristic && info.ID != "fusion-fission-ensemble" {
+		if info.Metaheuristic {
 			ids = append(ids, info.ID)
 		}
 	}
