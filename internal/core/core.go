@@ -161,15 +161,6 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := newSearch(g, k, opt)
-	// The loop's budget clock starts here, before the Algorithm 2
-	// initialization, exactly as the hand-rolled clock did.
-	loop := engine.NewLoop(ctx, engine.LoopOptions{
-		Budget: opt.Budget, MaxSteps: opt.MaxSteps,
-		PollEvery: 1, BudgetEvery: 64,
-		Runtime: opt.Runtime,
-	})
-
 	if opt.Initial != nil {
 		if opt.Initial.Graph() != g {
 			return nil, fmt.Errorf("core: initial partition is for a different graph")
@@ -177,8 +168,18 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		if opt.Initial.Capacity() < n {
 			return nil, fmt.Errorf("core: initial partition needs capacity n=%d for atoms to split freely", n)
 		}
-		s.cur = opt.Initial.Clone()
-	} else if !s.initialize(ctx) { // Algorithm 2
+	}
+	s := newSearch(g, k, opt)
+	// The loop's budget clock starts here, before the Algorithm 2
+	// initialization. An event on a 10k-vertex molecule costs milliseconds,
+	// so the budget is checked after every one.
+	loop := engine.NewLoop(ctx, engine.LoopOptions{
+		Budget: opt.Budget, MaxSteps: opt.MaxSteps,
+		PollEvery: 1, BudgetEvery: 1,
+		Runtime: opt.Runtime,
+	})
+
+	if opt.Initial == nil && !s.initialize(ctx) { // Algorithm 2
 		// Cancelled before the molecule condensed near K atoms: there is no
 		// meaningful best-so-far, and normalizing a half-initialized
 		// molecule would cost more than the caller is willing to wait.
@@ -220,7 +221,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 			size = s.cur.PartSize(merged)
 			eject = s.laws.draw(kind, size, s.r.Float64())
 			for _, v := range selectEjections(s.cur, merged, eject) {
-				nfusion(s.cur, v, merged, s.maxPartVW)
+				s.nfusion(v, merged)
 			}
 			s.relaxAtoms(merged)
 		}
@@ -252,6 +253,7 @@ func PartitionContext(ctx context.Context, g *graph.Graph, k int, opt Options) (
 		s.normalizeToK()
 		s.afterEvent(loop)
 	}
+	s.repairDegenerate(loop)
 	loop.Finish()
 	best := s.bestAtK
 	res := &Result{
@@ -340,12 +342,12 @@ func (s *search) doFission(atom, eject int, tFrac float64) int {
 	for _, v := range selectEjections(s.cur, src, eject) {
 		if s.highEnergy(tFrac) {
 			// The nucleon strikes its best-connected atom and splits it.
-			target := strongestOtherAtom(s.cur, v)
+			target := s.strongestOtherAtom(v)
 			if target >= 0 && s.cur.PartSize(target) >= 2 {
 				fissionSplit(s.cur, target, !s.opt.DisablePercolationFission, s.r)
 			}
 		}
-		nfusion(s.cur, v, src, s.maxPartVW)
+		s.nfusion(v, src)
 	}
 	return slot
 }
@@ -356,17 +358,16 @@ func (s *search) highEnergy(tFrac float64) bool {
 
 // strongestOtherAtom returns the part (different from v's) to which v is
 // most strongly connected, or -1.
-func strongestOtherAtom(p *partition.P, v int) int {
-	g := p.Graph()
+func (s *search) strongestOtherAtom(v int) int {
+	p := s.cur
 	own := p.Part(v)
 	best, bestW := -1, 0.0
-	seen := map[int]bool{}
-	for _, u := range g.Neighbors(v) {
+	s.parts.reset()
+	for _, u := range s.g.Neighbors(v) {
 		b := p.Part(int(u))
-		if b == partition.Unassigned || b == own || seen[b] {
+		if b == partition.Unassigned || b == own || !s.parts.add(b) {
 			continue
 		}
-		seen[b] = true
 		if w := p.ConnectionToPart(v, b); w > bestW {
 			best, bestW = b, w
 		}

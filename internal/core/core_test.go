@@ -357,3 +357,47 @@ func TestSigmoidChoiceClamped(t *testing.T) {
 		}
 	}
 }
+
+// bestMergePair breaks connection-weight ties toward the lexicographically
+// smallest pair, independent of map iteration order.
+func TestBestMergePairTieBreak(t *testing.T) {
+	g := graph.Star(8) // every leaf ties at weight 1 with the center
+	assign := make([]int32, g.NumVertices())
+	for v := range assign {
+		assign[v] = int32(v)
+	}
+	p, err := partitionWithCapacity(g, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if a, b := bestMergePair(p); a != 0 || b != 1 {
+			t.Fatalf("bestMergePair = (%d,%d), want (0,1)", a, b)
+		}
+	}
+}
+
+// A run that stops while its every exactly-K state still has a part with
+// cut but no internal weight (here: one event after an initialization that
+// leaves singleton atoms) returns a repaired, finite K-part partition, and
+// reports the repaired Mcut as its energy.
+func TestRepairDegenerateBestAtK(t *testing.T) {
+	g := graph.RandomGeometric(1000, 0.063, 1)
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := Partition(g, 16, Options{Seed: seed, MaxSteps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !math.IsInf(res.Trace[0].Energy, 1) {
+			t.Fatalf("seed %d: first K-part state has Mcut %v; the case needs +Inf", seed, res.Trace[0].Energy)
+		}
+		if err := res.Best.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		mcut := objective.MCut.Evaluate(res.Best)
+		if res.Best.NumParts() != 16 || math.IsInf(mcut, 0) || mcut != res.Energy {
+			t.Fatalf("seed %d: %d parts, Mcut %v, Energy %v; want 16 parts and a finite Mcut equal to Energy",
+				seed, res.Best.NumParts(), mcut, res.Energy)
+		}
+	}
+}

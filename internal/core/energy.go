@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/graph"
 	"repro/internal/objective"
 	"repro/internal/partition"
@@ -18,11 +20,20 @@ import (
 // 1, so energies there are the raw objective values reported in Table 1.
 //
 // The model is a thin binding-energy wrapper over the shared scoring layer
-// (internal/score): whole-molecule energies delegate to the smoothed
-// objective, per-move deltas to score.Delta. Fusion-fission bulk-mutates
-// and wholesale-replaces its molecule between delta queries (fissions,
-// merges, foreign adoptions), so the stateless score.Delta fits here where
-// a bound score.Tracker would be perpetually stale.
+// (internal/score): per-move deltas delegate to score.Delta, and the
+// whole-molecule energy is EvaluateSmoothed(p, eps)*penalty(NumParts),
+// computed without an O(n) scan. The model caches each part's smoothed Term
+// and, on each evaluation, refreshes only the parts the partition stamps as
+// changed since the previous one (partition.PartChangedAt), then folds the
+// cached terms over the non-empty parts in ascending id order — exactly
+// EvaluateSmoothed's summation, so the law-learning comparison newE < prevE
+// sees bit-equal values. The result is memoized on the partition's mutation
+// counter, so re-evaluating an unchanged molecule is free. A different
+// partition, or an untracked one (every part reports "changed now"), simply
+// refreshes every term, so the energy is exact on whatever it is handed.
+// score.Tracker is deliberately not used: its compensated running sum
+// differs from the ascending fold in the low bits, which would flip
+// law-learning comparisons.
 
 type energyModel struct {
 	obj    objective.Objective
@@ -30,6 +41,14 @@ type energyModel struct {
 	eps    float64 // smoothing for degenerate parts
 	cBelow float64
 	cAbove float64
+
+	// The evaluation cache: terms[a] is part a's smoothed Term in `of` as
+	// of mutation count `seen`, for every part non-empty at that point;
+	// value is the scaled energy then.
+	of    *partition.P
+	seen  uint64
+	value float64
+	terms []float64
 }
 
 func newEnergyModel(g *graph.Graph, obj objective.Objective, k int) *energyModel {
@@ -53,9 +72,33 @@ func (e *energyModel) penalty(numAtoms int) float64 {
 	return 1 + e.cAbove*rel
 }
 
-// energy returns the scaled objective of p.
+// energy returns the scaled objective of p,
+// EvaluateSmoothed(p, eps)*penalty(NumParts) bit for bit.
 func (e *energyModel) energy(p *partition.P) float64 {
-	return e.obj.EvaluateSmoothed(p, e.eps) * e.penalty(p.NumParts())
+	m := p.Mutations()
+	if p == e.of && m == e.seen {
+		return e.value
+	}
+	fresh := p != e.of
+	if fresh {
+		e.of = p
+		if len(e.terms) < p.Capacity() {
+			e.terms = make([]float64, p.Capacity())
+		}
+	}
+	total := 0.0
+	for i, w := range p.Occupancy() {
+		for ; w != 0; w &= w - 1 {
+			a := i<<6 + bits.TrailingZeros64(w)
+			if fresh || p.PartChangedAt(a) > e.seen {
+				e.terms[a] = e.obj.Term(p.PartCut(a), p.PartInternalOrdered(a), e.eps)
+			}
+			total += e.terms[a]
+		}
+	}
+	e.seen = m
+	e.value = total * e.penalty(p.NumParts())
+	return e.value
 }
 
 // raw returns the unscaled, unsmoothed objective (for reporting).

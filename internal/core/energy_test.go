@@ -88,3 +88,81 @@ func TestSigmoidChoiceRuns(t *testing.T) {
 		t.Fatalf("linear NumParts = %d", lin.Best.NumParts())
 	}
 }
+
+// Property: the cached, memoized energy equals the full smoothed evaluation
+// times the binding penalty bit for bit, after any mix of fusion-fission
+// events, on tracked and untracked molecules alike — including a CopyFrom
+// restore, a wholesale replacement of the molecule (a foreign incumbent)
+// and interleaved evaluations of another partition.
+func TestEnergyMatchesFullEvaluation(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rng.New(seed)
+		n := 30 + r.Intn(50)
+		b := graph.NewBuilder(n)
+		src := graph.GNP(n, 0.12, seed)
+		src.ForEachEdge(func(u, v int, w float64) { b.AddEdge(u, v, 0.25+2*r.Float64()) })
+		for v := 0; v < n; v += 4 {
+			b.AddSelfLoop(v, 0.5)
+		}
+		g := b.MustBuild()
+		for _, obj := range objective.All {
+			k := 2 + r.Intn(5)
+			s := newSearch(g, k, Options{Objective: obj, Seed: seed}.withDefaults())
+			for v := 0; v < n; v++ {
+				s.cur.Assign(v, r.Intn(2*k))
+			}
+			snapshot := s.cur.Clone()
+			for step := 0; step < 80; step++ {
+				atom := chooseAtom(s.cur, s.r)
+				switch r.Intn(8) {
+				case 0:
+					v := r.Intn(n)
+					if to := s.strongestOtherAtom(v); to >= 0 && s.cur.PartSize(s.cur.Part(v)) > 1 {
+						s.cur.Move(v, to)
+					}
+				case 1:
+					fissionSplit(s.cur, atom, r.Intn(2) == 0, s.r)
+				case 2:
+					if partner := choosePartner(s.cur, atom, r.Float64(), 0, s.r); partner >= 0 {
+						merged := fuse(s.cur, atom, partner)
+						for _, v := range selectEjections(s.cur, merged, r.Intn(4)) {
+							s.nfusion(v, merged)
+						}
+					}
+				case 3:
+					s.relaxAtoms(atom)
+				case 4:
+					s.cur.CopyFrom(snapshot)
+				case 5:
+					// A foreign incumbent replaces the molecule outright;
+					// the replacement is untracked until re-armed.
+					p, err := partition.FromAssignment(g, s.cur.Assignment(), n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.cur = p
+				case 6:
+					s.cur.TrackMembers()
+				default:
+					snapshot = s.cur.Clone()
+					s.energy.energy(snapshot) // the cache moves to another partition
+				}
+				if r.Intn(3) == 0 {
+					continue // let several events accumulate between evaluations
+				}
+				for _, p := range []*partition.P{s.cur, s.cur} { // second call hits the memo
+					got := s.energy.energy(p)
+					want := obj.EvaluateSmoothed(p, s.energy.eps) * s.energy.penalty(p.NumParts())
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Logf("seed %d %v step %d: energy %v, full evaluation %v", seed, obj, step, got, want)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -16,11 +15,10 @@ import (
 
 // chooseAtom returns a uniformly random non-empty part id, or -1.
 func chooseAtom(p *partition.P, r *rand.Rand) int {
-	parts := p.NonEmptyParts()
-	if len(parts) == 0 {
+	if p.NumParts() == 0 {
 		return -1
 	}
-	return parts[r.Intn(len(parts))]
+	return p.NthNonEmpty(r.Intn(p.NumParts()))
 }
 
 // choosePartner picks the atom to fuse with `atom`. The paper selects it
@@ -146,30 +144,40 @@ func fallbackSplit(sub *graph.Graph, n int) []int32 {
 
 // selectEjections returns up to j vertices of the atom that are the most
 // loosely bound: smallest internal-minus-external connection, the nucleons
-// a nuclear event would spray out. Vertices are only ejected while the atom
-// keeps at least one member.
+// a nuclear event would spray out, loosest first. Vertices are only ejected
+// while the atom keeps at least one member.
 func selectEjections(p *partition.P, atom, j int) []int {
-	members := p.VerticesOf(atom)
-	if j <= 0 || len(members) <= 1 {
+	size := p.PartSize(atom)
+	if j <= 0 || size <= 1 {
 		return nil
 	}
-	if j > len(members)-1 {
-		j = len(members) - 1
+	if j > size-1 {
+		j = size - 1
 	}
-	list := make([]ejectCand, 0, len(members))
+	// looserThan is a strict total order and j is at most maxEject, so
+	// keeping the j loosest by insertion selects exactly the prefix a full
+	// sort of the atom would.
+	best := make([]ejectCand, 0, j)
 	g := p.Graph()
-	for _, v := range members {
+	for _, v := range p.VerticesOf(atom) {
 		internal := p.ConnectionToPart(int(v), atom)
 		external := g.WeightedDegree(int(v)) - internal
-		list = append(list, ejectCand{v: int(v), bind: internal - external, bound: external > 0})
-	}
-	sort.Slice(list, func(a, b int) bool { return list[a].looserThan(list[b]) })
-	out := make([]int, 0, j)
-	for _, s := range list {
-		if len(out) == j {
-			break
+		c := ejectCand{v: int(v), bind: internal - external, bound: external > 0}
+		switch {
+		case len(best) < j:
+			best = append(best, c)
+		case c.looserThan(best[j-1]):
+			best[j-1] = c
+		default:
+			continue
 		}
-		out = append(out, s.v)
+		for i := len(best) - 1; i > 0 && best[i].looserThan(best[i-1]); i-- {
+			best[i], best[i-1] = best[i-1], best[i]
+		}
+	}
+	out := make([]int, len(best))
+	for i, c := range best {
+		out[i] = c.v
 	}
 	return out
 }
@@ -195,37 +203,62 @@ func (a ejectCand) looserThan(b ejectCand) bool {
 
 // nfusion reabsorbs a free nucleon into the connected atom with the
 // strongest bond, excluding `exclude` (its previous atom) when another
-// option exists and skipping atoms already heavier than maxVW (0 disables
-// the cap). Returns the receiving part id.
-func nfusion(p *partition.P, v int, exclude int, maxVW float64) int {
-	g := p.Graph()
+// option exists and skipping atoms already heavier than the soft cap
+// maxPartVW. Returns the receiving part id.
+func (s *search) nfusion(v int, exclude int) int {
+	p := s.cur
 	bestPart, bestW := -1, 0.0
-	var cands []int
-	seen := map[int]bool{}
-	for _, u := range g.Neighbors(v) {
+	s.parts.reset()
+	cands := s.cands[:0]
+	own := p.Part(v)
+	for _, u := range s.g.Neighbors(v) {
 		b := p.Part(int(u))
-		if b == partition.Unassigned || b == p.Part(v) || seen[b] {
+		if b == partition.Unassigned || b == own || !s.parts.add(b) {
 			continue
 		}
-		seen[b] = true
 		cands = append(cands, b)
 	}
-	vw := g.VertexWeight(v)
+	s.cands = cands
+	vw := s.g.VertexWeight(v)
 	for _, b := range cands {
 		if b == exclude && len(cands) > 1 {
 			continue
 		}
-		if maxVW > 0 && p.PartVertexWeight(b)+vw > maxVW {
+		if s.maxPartVW > 0 && p.PartVertexWeight(b)+vw > s.maxPartVW {
 			continue
 		}
 		if w := p.ConnectionToPart(v, b); w > bestW {
 			bestPart, bestW = b, w
 		}
 	}
-	if bestPart >= 0 && p.PartSize(p.Part(v)) > 1 {
+	if bestPart >= 0 && p.PartSize(own) > 1 {
 		p.Move(v, bestPart)
 	}
 	return p.Part(v)
+}
+
+// partSet is a reusable set of part ids, for deduplicating the parts around
+// one vertex: emptying it is a generation bump, not a fresh map.
+type partSet struct {
+	gen   uint32
+	stamp []uint32 // stamp[a] == gen while a is in the set
+}
+
+// reset empties the set.
+func (ps *partSet) reset() {
+	if ps.gen++; ps.gen == 0 { // wrapped: old stamps could alias
+		clear(ps.stamp)
+		ps.gen = 1
+	}
+}
+
+// add inserts a and reports whether it was absent.
+func (ps *partSet) add(a int) bool {
+	if ps.stamp[a] == ps.gen {
+		return false
+	}
+	ps.stamp[a] = ps.gen
+	return true
 }
 
 func maxInt(a, b int) int {

@@ -33,6 +33,14 @@ type search struct {
 	bestAtK      *partition.P // lowest raw objective among exactly-K states
 	bestAtKE     float64
 	bestPerK     map[int]float64
+
+	// Reusable scratch for the per-vertex operators: the parts around one
+	// vertex, and nfusion's candidate list.
+	parts partSet
+	cands []int
+	// partnerless[a] is 1 + cur.Mutations() when initialization last found
+	// atom a without a fusion partner, 0 if never.
+	partnerless []uint64
 }
 
 func newSearch(g *graph.Graph, k int, opt Options) *search {
@@ -44,6 +52,14 @@ func newSearch(g *graph.Graph, k int, opt Options) *search {
 	if opt.Objective == objective.Cut {
 		capFactor = 1.3
 	}
+	// The molecule is opt.Initial when given, else the empty partition
+	// Algorithm 2 fills. Either way it tracks its atoms' members, so every
+	// event costs time in the size of the atoms it touches.
+	cur := partition.New(g, g.NumVertices())
+	if opt.Initial != nil {
+		cur = opt.Initial.Clone()
+	}
+	cur.TrackMembers()
 	return &search{
 		g:            g,
 		k:            k,
@@ -51,11 +67,13 @@ func newSearch(g *graph.Graph, k int, opt Options) *search {
 		r:            rng.New(opt.Seed),
 		laws:         newLaws(g.NumVertices()),
 		energy:       newEnergyModel(g, opt.Objective, k),
-		cur:          partition.New(g, g.NumVertices()),
+		cur:          cur,
 		maxPartVW:    capFactor * g.TotalVertexWeight() / float64(k),
 		bestOverallE: math.Inf(1),
 		bestAtKE:     math.Inf(1),
 		bestPerK:     make(map[int]float64),
+		parts:        partSet{stamp: make([]uint32, cur.Capacity())},
+		partnerless:  make([]uint64, cur.Capacity()),
 	}
 }
 
@@ -98,11 +116,11 @@ func (s *search) adoptForeign(loop *engine.Loop) bool {
 	if !ok || (s.bestAtK != nil && e >= s.bestAtKE) {
 		return false
 	}
-	p, err := partition.FromAssignment(s.g, assign, s.g.NumVertices())
+	p, err := partition.FromAssignment(s.g, assign, s.cur.Capacity())
 	if err != nil {
 		return false
 	}
-	s.cur = p
+	s.cur.CopyFrom(p)
 	return true
 }
 
@@ -136,7 +154,7 @@ func (s *search) initialize(ctx context.Context) bool {
 			slot := fissionSplit(s.cur, atom, !s.opt.DisablePercolationFission, s.r)
 			if slot >= 0 {
 				for _, v := range selectEjections(s.cur, atom, eject) {
-					nfusion(s.cur, v, atom, s.maxPartVW)
+					s.nfusion(v, atom)
 				}
 				if !s.opt.DisableLawLearning {
 					s.laws.update(lawFission, int(size), eject, s.energy.energy(s.cur) < prevE, s.opt.LawDelta)
@@ -144,15 +162,23 @@ func (s *search) initialize(ctx context.Context) bool {
 			}
 			continue
 		}
+		// choosePartner depends only on the molecule and draws nothing
+		// when it finds no partner, so an atom found partnerless stays so
+		// until the molecule mutates, and skipping the rescan leaves the
+		// random stream untouched.
+		if s.partnerless[atom] == s.cur.Mutations()+1 {
+			continue
+		}
 		partner := choosePartner(s.cur, atom, 0, s.maxPartVW, s.r)
 		if partner < 0 {
+			s.partnerless[atom] = s.cur.Mutations() + 1
 			continue
 		}
 		merged := fuse(s.cur, atom, partner)
 		msize := s.cur.PartSize(merged)
 		eject := s.laws.draw(lawFusion, msize, s.r.Float64())
 		for _, v := range selectEjections(s.cur, merged, eject) {
-			nfusion(s.cur, v, merged, s.maxPartVW)
+			s.nfusion(v, merged)
 		}
 		if !s.opt.DisableLawLearning {
 			s.laws.update(lawFusion, msize, eject, s.energy.energy(s.cur) < prevE, s.opt.LawDelta)
@@ -177,29 +203,34 @@ func (s *search) relaxAtoms(atom int) {
 		if s.cur.PartSize(from) <= 1 {
 			continue
 		}
-		// Candidate atoms: those v touches, below the soft weight cap.
-		// moveDelta makes each candidate O(deg v) instead of a full
-		// objective evaluation.
-		bestTo, bestDelta := -1, -1e-12
-		vw := s.g.VertexWeight(v)
-		seen := map[int]bool{from: true}
-		for _, u := range s.g.Neighbors(v) {
-			b := s.cur.Part(int(u))
-			if b == partition.Unassigned || seen[b] {
-				continue
-			}
-			seen[b] = true
-			if s.cur.PartVertexWeight(b)+vw > s.maxPartVW {
-				continue
-			}
-			if d := s.energy.moveDelta(s.cur, v, from, b); d < bestDelta {
-				bestTo, bestDelta = b, d
-			}
-		}
-		if bestTo >= 0 {
+		if bestTo := s.bestRelaxMove(v, from); bestTo >= 0 {
 			s.cur.Move(v, bestTo)
 		}
 	}
+}
+
+// bestRelaxMove returns the atom v (in `from`) should move to — the one
+// among those it touches, below the soft weight cap, whose move lowers the
+// scaled energy most — or -1 if no move lowers it. moveDelta makes each
+// candidate O(deg v) instead of a full objective evaluation.
+func (s *search) bestRelaxMove(v, from int) int {
+	bestTo, bestDelta := -1, -1e-12
+	vw := s.g.VertexWeight(v)
+	s.parts.reset()
+	s.parts.add(from)
+	for _, u := range s.g.Neighbors(v) {
+		b := s.cur.Part(int(u))
+		if b == partition.Unassigned || !s.parts.add(b) {
+			continue
+		}
+		if s.cur.PartVertexWeight(b)+vw > s.maxPartVW {
+			continue
+		}
+		if d := s.energy.moveDelta(s.cur, v, from, b); d < bestDelta {
+			bestTo, bestDelta = b, d
+		}
+	}
+	return bestTo
 }
 
 // relaxAll sweeps every atom once with nucleon relaxation — the freezing-
@@ -214,23 +245,7 @@ func (s *search) relaxAll() {
 			if from == partition.Unassigned || s.cur.PartSize(from) <= 1 {
 				continue
 			}
-			bestTo, bestDelta := -1, -1e-12
-			vw := s.g.VertexWeight(v)
-			seen := map[int]bool{from: true}
-			for _, u := range s.g.Neighbors(v) {
-				b := s.cur.Part(int(u))
-				if b == partition.Unassigned || seen[b] {
-					continue
-				}
-				seen[b] = true
-				if s.cur.PartVertexWeight(b)+vw > s.maxPartVW {
-					continue
-				}
-				if d := s.energy.moveDelta(s.cur, v, from, b); d < bestDelta {
-					bestTo, bestDelta = b, d
-				}
-			}
-			if bestTo >= 0 {
+			if bestTo := s.bestRelaxMove(v, from); bestTo >= 0 {
 				s.cur.Move(v, bestTo)
 				moved = true
 			}
@@ -274,9 +289,55 @@ func (s *search) normalizeToK() {
 	}
 }
 
+// repairDegenerate runs after the event loop when every exactly-K state
+// the search visited had a part with cut but no internal weight, so that
+// the best at K has Mcut = +Inf. Initialization on a large graph can end
+// with singleton and other tiny atoms among its K, and a budget-driven run
+// that stops before the events absorb them would otherwise return that
+// state, or not, depending on how many events the budget held. Starting
+// from the best at K, the repair repeatedly merges the part with the worst
+// objective term into the neighbouring part it shares the most weight with
+// and splits the largest part to get back to K, for as long as that lowers
+// the smoothed energy (at most K rounds); the best at K follows whenever
+// the raw objective drops below it. The search trajectory is untouched:
+// only the returned partition changes, and only when it was infinite.
+func (s *search) repairDegenerate(loop *engine.Loop) {
+	if s.bestAtK == nil || !math.IsInf(s.bestAtKE, 1) {
+		return
+	}
+	s.cur.CopyFrom(s.bestAtK)
+	prev := s.energy.energy(s.cur)
+	for round := 0; round < s.k; round++ {
+		worst, worstT := -1, -1.0
+		for _, a := range s.cur.NonEmptyParts() {
+			if t := s.opt.Objective.Term(s.cur.PartCut(a), s.cur.PartInternalOrdered(a), 0); t > worstT {
+				worst, worstT = a, t
+			}
+		}
+		to, toW := -1, 0.0
+		for b, w := range s.cur.ConnectedParts(worst) {
+			if w > toW || (w == toW && b < to) {
+				to, toW = b, w
+			}
+		}
+		if to < 0 {
+			return
+		}
+		s.cur.MergeParts(to, worst)
+		s.normalizeToK()
+		e := s.energy.energy(s.cur)
+		if s.cur.NumParts() != s.k || !(e < prev) {
+			return
+		}
+		prev = e
+		s.afterEvent(loop)
+	}
+}
+
 // bestMergePair returns the connected pair of parts whose merge costs the
 // least objective increase per the connection weight — i.e. the pair with
-// the strongest mutual connection (smallest paper-distance).
+// the strongest mutual connection (smallest paper-distance). Ties go to the
+// lexicographically smallest pair, whatever the map iteration order.
 func bestMergePair(p *partition.P) (int, int) {
 	bestA, bestB, bestW := -1, -1, -1.0
 	for _, a := range p.NonEmptyParts() {
@@ -284,7 +345,7 @@ func bestMergePair(p *partition.P) (int, int) {
 			if b <= a {
 				continue
 			}
-			if w > bestW {
+			if w > bestW || (w == bestW && a == bestA && b < bestB) {
 				bestA, bestB, bestW = a, b, w
 			}
 		}

@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // BFSLevels performs a breadth-first search from src and returns the hop
 // distance of every vertex (-1 for unreachable vertices).
 func BFSLevels(g *Graph, src int) []int32 {
@@ -72,28 +74,78 @@ type Subgraph struct {
 	Orig []int32 // Orig[local] = parent vertex id
 }
 
-// Induced returns the subgraph induced by the given parent vertices.
-// Edges with exactly one endpoint in the set are dropped. Vertex weights are
-// inherited. The order of vertices in the subgraph follows the order given.
+// Induced returns the subgraph induced by the given distinct parent
+// vertices. Edges with exactly one endpoint in the set are dropped, and so
+// are self-loop weights. Vertex weights are inherited. The order of
+// vertices in the subgraph follows the order given.
+//
+// The CSR is assembled directly, in time proportional to the set's total
+// degree: each local adjacency is the parent's, filtered and put in
+// ascending local order — the canonical order Builder produces — and the
+// derived arrays come from rebuildDerived, so the result equals the graph
+// a Builder fed the same edges would build, bit for bit.
 func Induced(g *Graph, vertices []int32) *Subgraph {
-	local := make(map[int32]int32, len(vertices))
+	local := borrowLocalIndex(g.NumVertices())
+	arcs := 0
 	for i, v := range vertices {
-		local[v] = int32(i)
+		local[v] = int32(i) + 1
+		arcs += g.Degree(int(v))
 	}
-	b := NewBuilder(len(vertices))
+	s := len(vertices)
+	sub := &Graph{
+		xadj:   make([]int32, s+1),
+		adjncy: make([]int32, 0, arcs),
+		adjwgt: make([]float64, 0, arcs),
+		vwgt:   make([]float64, s),
+	}
 	for i, v := range vertices {
-		b.SetVertexWeight(i, g.VertexWeight(int(v)))
-		nbrs := g.Neighbors(int(v))
+		sub.vwgt[i] = g.VertexWeight(int(v))
+		start := len(sub.adjncy)
 		wts := g.Weights(int(v))
-		for j, u := range nbrs {
-			lu, ok := local[u]
-			if !ok || lu <= int32(i) {
-				continue // outside the set, or already added from the other side
+		for j, u := range g.Neighbors(int(v)) {
+			if lu := local[u]; lu != 0 {
+				sub.adjncy = append(sub.adjncy, lu-1)
+				sub.adjwgt = append(sub.adjwgt, wts[j])
 			}
-			b.AddEdge(i, int(lu), wts[j])
 		}
+		sortArcs(sub.adjncy[start:], sub.adjwgt[start:])
+		sub.xadj[i+1] = int32(len(sub.adjncy))
 	}
-	return &Subgraph{G: b.MustBuild(), Orig: append([]int32(nil), vertices...)}
+	for _, v := range vertices {
+		local[v] = 0
+	}
+	localIndexPool.Put(&local)
+	if err := sub.rebuildDerived(); err != nil {
+		// Only a repeated vertex, or a non-finite weight Builder let into
+		// the parent, breaks the canonical form.
+		panic(err)
+	}
+	return &Subgraph{G: sub, Orig: append([]int32(nil), vertices...)}
+}
+
+// localIndexPool holds parent-sized vertex-to-local-id tables for Induced,
+// all zero between uses (an entry is 1 + the local id while in use), so a
+// call costs time in the size of its vertex set rather than the parent's.
+var localIndexPool sync.Pool
+
+func borrowLocalIndex(n int) []int32 {
+	if p, ok := localIndexPool.Get().(*[]int32); ok && len(*p) >= n {
+		return *p
+	}
+	return make([]int32, n)
+}
+
+// sortArcs insertion-sorts one adjacency row by neighbor id, carrying the
+// weights along; rows are short and usually already sorted.
+func sortArcs(nbrs []int32, wts []float64) {
+	for i := 1; i < len(nbrs); i++ {
+		u, w := nbrs[i], wts[i]
+		j := i - 1
+		for ; j >= 0 && nbrs[j] > u; j-- {
+			nbrs[j+1], wts[j+1] = nbrs[j], wts[j]
+		}
+		nbrs[j+1], wts[j+1] = u, w
+	}
 }
 
 // FarthestPointSeeds returns k well-spread vertices chosen by greedy

@@ -17,6 +17,7 @@ package objective
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"repro/internal/partition"
@@ -82,8 +83,11 @@ func (o Objective) EvaluateSmoothed(p *partition.P, eps float64) float64 {
 
 func (o Objective) eval(p *partition.P, eps float64) float64 {
 	total := 0.0
-	for _, a := range p.NonEmptyParts() {
-		total += o.Term(p.PartCut(a), p.PartInternalOrdered(a), eps)
+	for i, w := range p.Occupancy() {
+		for ; w != 0; w &= w - 1 {
+			a := i<<6 + bits.TrailingZeros64(w)
+			total += o.Term(p.PartCut(a), p.PartInternalOrdered(a), eps)
+		}
 	}
 	return total
 }

@@ -8,7 +8,19 @@
 //
 // Parts are slots in [0, Capacity); slots may be empty, which is what lets
 // the fusion-fission metaheuristic vary the number of "atoms" during the
-// search without reallocating. NumParts reports the non-empty count.
+// search without reallocating. NumParts reports the non-empty count; an
+// occupancy bitset (one bit per slot, set while the part is non-empty) makes
+// the non-empty slots enumerable, the n-th of them selectable and an empty
+// slot findable in O(Capacity/64) without allocating.
+//
+// Fusion-fission also needs a part's members and "what changed since I last
+// looked" in time proportional to the part, not to the graph. TrackMembers
+// arms both: an intrusive member list per part (so VerticesOf, MergeParts
+// and ConnectedParts walk the part instead of all n vertices) and a per-part
+// change stamp against the partition-wide mutation counter (so a cache of
+// per-part terms can refresh only the parts touched since it was filled).
+// Untracked partitions — annealing, refinement, bulk construction — pay one
+// predicted branch per mutation for the option.
 //
 // Vertex self-loop weights (graph.Graph.VertexLoop — the internal weight a
 // coarsening contraction folded into a coarse vertex) count toward the
@@ -21,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -39,6 +52,24 @@ type P struct {
 	assigned int
 	nonEmpty int
 	crossing float64 // total crossing edge weight, each edge counted once
+
+	// occ has bit a set exactly while part a is non-empty; bits past the
+	// capacity stay zero.
+	occ []uint64
+	// mutations counts state changes: every Assign, effective Move or
+	// MoveConns, and CopyFrom bumps it, so an unchanged count means
+	// unchanged statistics.
+	mutations uint64
+
+	// Member lists and change stamps, armed by TrackMembers. memHead[a] is
+	// the first member of part a (-1 when empty); memNext/memPrev link the
+	// members of one part, in no particular order. changed[a] is the
+	// mutations count at part a's last change.
+	track   bool
+	memHead []int32
+	memNext []int32
+	memPrev []int32
+	changed []uint64
 
 	// part16 mirrors part with int16 entries whenever the capacity fits
 	// (part ids < 32768 — always, in practice). The mirror is half the
@@ -85,6 +116,7 @@ func New(g *graph.Graph, capacity int) *P {
 		vw:       make([]float64, capacity),
 		internal: make([]float64, capacity),
 		cut:      make([]float64, capacity),
+		occ:      make([]uint64, (capacity+63)/64),
 	}
 	if capacity <= math.MaxInt16 {
 		// One padding entry past the end: the score package's gathered
@@ -173,13 +205,19 @@ func (p *P) Assign(v, a int) {
 	if p.part16 != nil {
 		p.part16[v] = int16(a)
 	}
+	p.mutations++
 	if p.size[a] == 0 {
 		p.nonEmpty++
+		p.occ[a>>6] |= 1 << uint(a&63)
 	}
 	p.size[a]++
 	p.vw[a] += p.g.VertexWeight(v)
 	p.internal[a] += p.g.VertexLoop(v)
 	p.assigned++
+	if p.track {
+		p.link(int32(v), a)
+		p.changed[a] = p.mutations
+	}
 	nbrs := p.g.Neighbors(v)
 	wts := p.g.Weights(v)
 	for i, u := range nbrs {
@@ -209,6 +247,7 @@ func (p *P) Move(v, to int) {
 	if from == to {
 		return
 	}
+	p.mutations++
 	nbrs := p.g.Neighbors(v)
 	wts := p.g.Weights(v)
 	for i, u := range nbrs {
@@ -234,30 +273,7 @@ func (p *P) Move(v, to int) {
 			p.cut[to] += w
 		}
 	}
-	p.part[v] = int32(to)
-	if p.part16 != nil {
-		p.part16[v] = int16(to)
-	}
-	p.size[from]--
-	if p.size[from] == 0 {
-		p.nonEmpty--
-	}
-	if p.size[to] == 0 {
-		p.nonEmpty++
-	}
-	p.size[to]++
-	vw := 1.0
-	if !p.g.UnitVertexWeights() {
-		vw = p.g.VertexWeight(v)
-	}
-	p.vw[from] -= vw
-	p.vw[to] += vw
-	if l := p.g.VertexLoop(v); l != 0 {
-		p.internal[from] -= l
-		p.internal[to] += l
-	}
-	p.minTouch(from)
-	p.minTouch(to)
+	p.moved(v, from, to)
 }
 
 // MoveConns is Move for callers that already scanned v's neighborhood:
@@ -278,11 +294,19 @@ func (p *P) MoveConns(v, to int, connFrom, connTo, other float64) {
 	if from == to {
 		return
 	}
+	p.mutations++
 	p.internal[from] -= connFrom
 	p.internal[to] += connTo
 	p.cut[from] += connFrom - connTo - other
 	p.cut[to] += connFrom - connTo + other
 	p.crossing += connFrom - connTo
+	p.moved(v, from, to)
+}
+
+// moved finishes a move of v from `from` to `to` once the edge statistics
+// are updated: part ids, sizes, occupancy, vertex and loop weights, the
+// argmin keys and, when tracked, the member lists and change stamps.
+func (p *P) moved(v, from, to int) {
 	p.part[v] = int32(to)
 	if p.part16 != nil {
 		p.part16[v] = int16(to)
@@ -290,9 +314,11 @@ func (p *P) MoveConns(v, to int, connFrom, connTo, other float64) {
 	p.size[from]--
 	if p.size[from] == 0 {
 		p.nonEmpty--
+		p.occ[from>>6] &^= 1 << uint(from&63)
 	}
 	if p.size[to] == 0 {
 		p.nonEmpty++
+		p.occ[to>>6] |= 1 << uint(to&63)
 	}
 	p.size[to]++
 	vw := 1.0
@@ -307,11 +333,24 @@ func (p *P) MoveConns(v, to int, connFrom, connTo, other float64) {
 	}
 	p.minTouch(from)
 	p.minTouch(to)
+	if p.track {
+		p.unlink(int32(v), from)
+		p.link(int32(v), to)
+		p.changed[from] = p.mutations
+		p.changed[to] = p.mutations
+	}
 }
 
-// MergeParts moves every vertex of part b into part a. No-op when a == b.
+// MergeParts moves every vertex of part b into part a, in ascending vertex
+// order. No-op when a == b.
 func (p *P) MergeParts(a, b int) {
 	if a == b || p.size[b] == 0 {
+		return
+	}
+	if p.track {
+		for _, v := range p.VerticesOf(b) {
+			p.Move(int(v), a)
+		}
 		return
 	}
 	for v := range p.part {
@@ -321,11 +360,16 @@ func (p *P) MergeParts(a, b int) {
 	}
 }
 
-// EmptySlot returns the id of an empty part slot, or -1 if all are occupied.
+// EmptySlot returns the lowest empty part slot, or -1 if all are occupied.
 func (p *P) EmptySlot() int {
-	for a := range p.size {
-		if p.size[a] == 0 {
-			return a
+	for i, w := range p.occ {
+		if w != ^uint64(0) {
+			// Bits past the capacity are zero, so a full last word still
+			// yields a free bit — one that lies past the end.
+			if a := i<<6 + bits.TrailingZeros64(^w); a < len(p.size) {
+				return a
+			}
+			return -1
 		}
 	}
 	return -1
@@ -334,12 +378,108 @@ func (p *P) EmptySlot() int {
 // NonEmptyParts returns the ids of all non-empty parts in increasing order.
 func (p *P) NonEmptyParts() []int {
 	out := make([]int, 0, p.nonEmpty)
-	for a := range p.size {
-		if p.size[a] > 0 {
-			out = append(out, a)
+	for i, w := range p.occ {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i<<6+bits.TrailingZeros64(w))
 		}
 	}
 	return out
+}
+
+// Occupancy returns the live occupancy bitset: bit a&63 of word a>>6 is set
+// exactly while part a is non-empty. Walking the set bits word by word
+// visits NonEmptyParts in the same ascending order without allocating.
+// Same read-only, don't-hold-across-mutations contract as PartView.
+func (p *P) Occupancy() []uint64 { return p.occ }
+
+// NthNonEmpty returns NonEmptyParts()[i] without allocating, or -1 when i
+// is out of range.
+func (p *P) NthNonEmpty(i int) int {
+	if i < 0 {
+		return -1
+	}
+	for wi, w := range p.occ {
+		c := bits.OnesCount64(w)
+		if i >= c {
+			i -= c
+			continue
+		}
+		for ; i > 0; i-- {
+			w &= w - 1
+		}
+		return wi<<6 + bits.TrailingZeros64(w)
+	}
+	return -1
+}
+
+// Mutations returns the number of state changes so far: it grows with
+// every Assign, every Move or MoveConns that changes a part, and every
+// CopyFrom. Equal counts on the same partition mean equal statistics.
+func (p *P) Mutations() uint64 { return p.mutations }
+
+// PartChangedAt returns the Mutations count at part a's last change. An
+// untracked partition keeps no per-part stamps and reports the current
+// count for every part, so a cache keyed on it refreshes everything.
+func (p *P) PartChangedAt(a int) uint64 {
+	if !p.track {
+		return p.mutations
+	}
+	return p.changed[a]
+}
+
+// TrackMembers arms the per-part member lists and change stamps: from now
+// on VerticesOf, MergeParts and ConnectedParts cost time in the size of the
+// part instead of n, and PartChangedAt reports real per-part stamps. The
+// setup is O(n + Capacity); later calls are no-ops. Clone returns an
+// untracked copy; CopyFrom into a tracked partition keeps it tracked.
+func (p *P) TrackMembers() {
+	if p.track {
+		return
+	}
+	p.track = true
+	p.memHead = make([]int32, len(p.size))
+	p.memNext = make([]int32, len(p.part))
+	p.memPrev = make([]int32, len(p.part))
+	p.changed = make([]uint64, len(p.size))
+	p.rebuildMembers()
+}
+
+// rebuildMembers re-derives the member lists from the assignment and stamps
+// every part as changed now.
+func (p *P) rebuildMembers() {
+	for a := range p.memHead {
+		p.memHead[a] = -1
+		p.changed[a] = p.mutations
+	}
+	for v := len(p.part) - 1; v >= 0; v-- {
+		if a := p.part[v]; a != Unassigned {
+			p.link(int32(v), int(a))
+		}
+	}
+}
+
+// link pushes v onto the front of part a's member list.
+func (p *P) link(v int32, a int) {
+	h := p.memHead[a]
+	p.memNext[v] = h
+	p.memPrev[v] = -1
+	if h >= 0 {
+		p.memPrev[h] = v
+	}
+	p.memHead[a] = v
+}
+
+// unlink removes v from part a's member list.
+func (p *P) unlink(v int32, a int) {
+	next, prev := p.memNext[v], p.memPrev[v]
+	if prev >= 0 {
+		p.memNext[prev] = next
+	} else {
+		p.memHead[a] = next
+	}
+	if next >= 0 {
+		p.memPrev[next] = prev
+	}
 }
 
 // MinInternalPart returns the non-empty part with the smallest internal
@@ -555,9 +695,18 @@ func (p *P) minCompositeScan(exclude int) int {
 	return int(uint32(mk))
 }
 
-// VerticesOf returns the vertices currently in part a.
+// VerticesOf returns the vertices currently in part a, in ascending order.
+// A tracked partition gathers the part's member list and sorts it, in
+// O(s log s) for a part of s vertices; an untracked one scans all n.
 func (p *P) VerticesOf(a int) []int32 {
 	out := make([]int32, 0, p.size[a])
+	if p.track {
+		for v := p.memHead[a]; v >= 0; v = p.memNext[v] {
+			out = append(out, v)
+		}
+		slices.Sort(out)
+		return out
+	}
 	for v, pa := range p.part {
 		if int(pa) == a {
 			out = append(out, int32(v))
@@ -581,22 +730,34 @@ func (p *P) ConnectionToPart(v, a int) float64 {
 }
 
 // ConnectedParts returns, for part a, the map of neighboring part id to the
-// total weight of edges between a and that part.
+// total weight of edges between a and that part. Each weight is summed over
+// a's vertices in ascending order, tracked or not.
 func (p *P) ConnectedParts(a int) map[int]float64 {
 	out := make(map[int]float64)
-	for v, pa := range p.part {
-		if int(pa) != a {
-			continue
+	if p.track {
+		for _, v := range p.VerticesOf(a) {
+			p.addConnections(out, int(v), a)
 		}
-		nbrs := p.g.Neighbors(v)
-		wts := p.g.Weights(v)
-		for i, u := range nbrs {
-			if b := int(p.part[u]); b != a && b != Unassigned {
-				out[b] += wts[i]
-			}
+		return out
+	}
+	for v, pa := range p.part {
+		if int(pa) == a {
+			p.addConnections(out, v, a)
 		}
 	}
 	return out
+}
+
+// addConnections adds v's edge weight into every assigned part other than
+// a to out.
+func (p *P) addConnections(out map[int]float64, v, a int) {
+	nbrs := p.g.Neighbors(v)
+	wts := p.g.Weights(v)
+	for i, u := range nbrs {
+		if b := int(p.part[u]); b != a && b != Unassigned {
+			out[b] += wts[i]
+		}
+	}
 }
 
 // Assignment returns a copy of the per-vertex part ids.
@@ -616,18 +777,21 @@ func (p *P) PartView() []int32 { return p.part }
 // keep the moveConns random-access loads in L1 on graphs twice as large.
 func (p *P) PartView16() []int16 { return p.part16 }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent deep copy. Like the argmin cache, member
+// tracking is not copied: the clone is untracked.
 func (p *P) Clone() *P {
 	q := &P{
-		g:        p.g,
-		part:     append([]int32(nil), p.part...),
-		size:     append([]int32(nil), p.size...),
-		vw:       append([]float64(nil), p.vw...),
-		internal: append([]float64(nil), p.internal...),
-		cut:      append([]float64(nil), p.cut...),
-		assigned: p.assigned,
-		nonEmpty: p.nonEmpty,
-		crossing: p.crossing,
+		g:         p.g,
+		part:      append([]int32(nil), p.part...),
+		size:      append([]int32(nil), p.size...),
+		vw:        append([]float64(nil), p.vw...),
+		internal:  append([]float64(nil), p.internal...),
+		cut:       append([]float64(nil), p.cut...),
+		assigned:  p.assigned,
+		nonEmpty:  p.nonEmpty,
+		crossing:  p.crossing,
+		occ:       append([]uint64(nil), p.occ...),
+		mutations: p.mutations,
 	}
 	if p.part16 != nil {
 		// Padded like New's allocation for the gathered conns kernel.
@@ -656,10 +820,15 @@ func (p *P) CopyFrom(q *P) {
 	copy(p.vw, q.vw)
 	copy(p.internal, q.internal)
 	copy(p.cut, q.cut)
+	copy(p.occ, q.occ)
 	p.assigned = q.assigned
 	p.nonEmpty = q.nonEmpty
 	p.crossing = q.crossing
 	p.minDirty = true // bulk overwrite: revalidate the argmin on next query
+	p.mutations++
+	if p.track {
+		p.rebuildMembers()
+	}
 }
 
 // Compact renumbers non-empty parts to 0..NumParts-1 and returns the final
@@ -747,6 +916,42 @@ func (p *P) Validate() error {
 	}
 	if !approxEq(crossing, p.crossing) {
 		return fmt.Errorf("partition: crossing %g, tracked %g", crossing, p.crossing)
+	}
+	for a := 0; a < cap_; a++ {
+		if set := p.occ[a>>6]>>uint(a&63)&1 == 1; set != (size[a] > 0) {
+			return fmt.Errorf("partition: part %d occupancy bit %v, size %d", a, set, size[a])
+		}
+	}
+	if tail := cap_ & 63; tail != 0 && p.occ[len(p.occ)-1]>>uint(tail) != 0 {
+		return fmt.Errorf("partition: occupancy bits set past capacity %d", cap_)
+	}
+	if p.track {
+		return p.validateMembers(size)
+	}
+	return nil
+}
+
+// validateMembers checks that part a's member list holds exactly the size[a]
+// vertices assigned to a, with consistent back links.
+func (p *P) validateMembers(size []int32) error {
+	for a, h := range p.memHead {
+		prev, count := int32(-1), int32(0)
+		for v := h; v >= 0; v = p.memNext[v] {
+			if count == size[a] {
+				return fmt.Errorf("partition: part %d member list longer than its size %d", a, size[a])
+			}
+			if p.part[v] != int32(a) {
+				return fmt.Errorf("partition: vertex %d of part %d listed in part %d", v, p.part[v], a)
+			}
+			if p.memPrev[v] != prev {
+				return fmt.Errorf("partition: vertex %d back link %d, want %d", v, p.memPrev[v], prev)
+			}
+			prev = v
+			count++
+		}
+		if count != size[a] {
+			return fmt.Errorf("partition: part %d lists %d members, size %d", a, count, size[a])
+		}
 	}
 	return nil
 }

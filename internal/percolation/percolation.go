@@ -27,7 +27,6 @@
 package percolation
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -270,8 +269,7 @@ func balancedGrowth(ctx context.Context, g *graph.Graph, seeds []int, logHalfMea
 			break
 		}
 		capVW := capFactor * idealVW
-		pq := &growHeap{}
-		heap.Init(pq)
+		var pq frontHeap
 		// Seed the queue with every frontier arc of every liquid.
 		for v := 0; v < n; v++ {
 			c := color[v]
@@ -282,38 +280,39 @@ func balancedGrowth(ctx context.Context, g *graph.Graph, seeds []int, logHalfMea
 			wts := g.Weights(v)
 			for i, u := range nbrs {
 				if color[u] < 0 {
-					heap.Push(pq, growItem{
-						v:    int(u),
+					pq.push(front{
+						v:    u,
 						c:    c,
 						bond: bondVal[v] + math.Log(wts[i]) - logHalfMean,
 					})
 				}
 			}
 		}
-		for pq.Len() > 0 {
+		for len(pq) > 0 {
 			// Cancellation abandons the growth mid-flood; the caller
 			// discards the partial coloring and returns ctx.Err().
 			if poll.Due() {
 				return color, bondVal
 			}
-			it := heap.Pop(pq).(growItem)
-			if color[it.v] >= 0 {
+			it := pq.pop()
+			v := int(it.v)
+			if color[v] >= 0 {
 				continue
 			}
-			vw := g.VertexWeight(it.v)
+			vw := g.VertexWeight(v)
 			if claimedVW[it.c]+vw > capVW {
 				continue // this liquid is full for the current phase
 			}
-			color[it.v] = it.c
-			bondVal[it.v] = it.bond
+			color[v] = it.c
+			bondVal[v] = it.bond
 			claimedVW[it.c] += vw
 			claimedTotal += vw
-			nbrs := g.Neighbors(it.v)
-			wts := g.Weights(it.v)
+			nbrs := g.Neighbors(v)
+			wts := g.Weights(v)
 			for i, u := range nbrs {
 				if color[u] < 0 {
-					heap.Push(pq, growItem{
-						v:    int(u),
+					pq.push(front{
+						v:    u,
 						c:    it.c,
 						bond: it.bond + math.Log(wts[i]) - logHalfMean,
 					})
@@ -324,24 +323,54 @@ func balancedGrowth(ctx context.Context, g *graph.Graph, seeds []int, logHalfMea
 	return color, bondVal
 }
 
-type growItem struct {
-	v    int
-	c    int32
+// front is one queued liquid front: vertex v, reached by liquid c (unused
+// by propagate) with a log-domain bond.
+type front struct {
 	bond float64
+	v    int32
+	c    int32
 }
 
-type growHeap []growItem
+// frontHeap is a max-heap of fronts by bond. push and pop perform
+// container/heap's exact sift sequence, so fronts with equal bonds pop in
+// the same order as they did through the interface-based heap, but nothing
+// is boxed per push.
+type frontHeap []front
 
-func (h growHeap) Len() int            { return len(h) }
-func (h growHeap) Less(i, j int) bool  { return h[i].bond > h[j].bond }
-func (h growHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *growHeap) Push(x interface{}) { *h = append(*h, x.(growItem)) }
-func (h *growHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *frontHeap) push(f front) {
+	q := append(*h, f)
+	*h = q
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].bond > q[i].bond) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *frontHeap) pop() front {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].bond > q[j].bond {
+			j = j2
+		}
+		if !(q[j].bond > q[i].bond) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	f := q[n]
+	*h = q[:n]
+	return f
 }
 
 // logDamping returns log(2 * mean edge weight), the per-hop log-domain
@@ -364,50 +393,31 @@ func propagate(g *graph.Graph, seed int, self int32, color []int32, free bool, l
 	for v := 0; v < n; v++ {
 		bond[v] = math.Inf(-1)
 	}
-	pq := &bondHeap{}
-	heap.Init(pq)
-	heap.Push(pq, bondItem{v: seed, bond: 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(bondItem)
-		if done[it.v] {
+	var pq frontHeap
+	pq.push(front{v: int32(seed), bond: 0})
+	for len(pq) > 0 {
+		it := pq.pop()
+		v := int(it.v)
+		if done[v] {
 			continue // a stronger front already claimed this vertex
 		}
-		done[it.v] = true
-		bond[it.v] = it.bond
+		done[v] = true
+		bond[v] = it.bond
 		// The liquid continues through this vertex only if it may flow here.
-		if it.v != seed && !free && color[it.v] != self && color[it.v] != -1 {
+		if v != seed && !free && color[v] != self && color[v] != -1 {
 			continue
 		}
-		nbrs := g.Neighbors(it.v)
-		wts := g.Weights(it.v)
+		nbrs := g.Neighbors(v)
+		wts := g.Weights(v)
 		for i, u := range nbrs {
 			if !done[u] {
-				heap.Push(pq, bondItem{
-					v:    int(u),
+				pq.push(front{
+					v:    u,
 					bond: it.bond + math.Log(wts[i]) - logHalfMean,
 				})
 			}
 		}
 	}
-}
-
-type bondItem struct {
-	v    int
-	bond float64
-}
-
-type bondHeap []bondItem
-
-func (h bondHeap) Len() int            { return len(h) }
-func (h bondHeap) Less(i, j int) bool  { return h[i].bond > h[j].bond }
-func (h bondHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *bondHeap) Push(x interface{}) { *h = append(*h, x.(bondItem)) }
-func (h *bondHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // Bisect splits the vertices of g into two sides grown from seedA and seedB
