@@ -5,7 +5,7 @@
 // weights.
 //
 // Contraction loses no weight: an edge that ends up inside a coarse vertex
-// is folded into that vertex's self-loop weight (graph.Builder.AddSelfLoop),
+// is folded into that vertex's self-loop weight (graph.Contract),
 // and self-loop weight already present on the finer level is carried along.
 // Package partition counts self-loops toward part internal weight, so the
 // Cut, Ncut and Mcut of a coarse partition equal those of its projection to
@@ -297,11 +297,13 @@ func rescanHeaviest(g *graph.Graph, match []int32, protect Protect, v int) int {
 	return best
 }
 
-// contract merges each matched pair into one coarse vertex. Coarse vertex
-// weights are the sums of their constituents; parallel coarse edges are
-// accumulated; the weight of a contracted edge — which can never be cut
-// again — is folded into the coarse vertex's self-loop weight, together
-// with any self-loop weight the constituents carried from earlier levels.
+// contract merges each matched pair into one coarse vertex, numbering the
+// coarse vertices in order of their smallest member, and builds the
+// quotient graph with graph.Contract: coarse vertex weights are the sums of
+// their constituents, parallel coarse edges are accumulated, and the weight
+// of a contracted edge — which can never be cut again — is folded into the
+// coarse vertex's self-loop weight, together with any self-loop weight the
+// constituents carried from earlier levels.
 func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 	n := g.NumVertices()
 	toCoarse := make([]int32, n)
@@ -319,28 +321,9 @@ func contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 		}
 		nc++
 	}
-	b := graph.NewBuilder(int(nc))
-	vw := make([]float64, nc)
-	for v := 0; v < n; v++ {
-		vw[toCoarse[v]] += g.VertexWeight(v)
+	coarse, err := graph.Contract(g, toCoarse, int(nc))
+	if err != nil {
+		panic(err) // toCoarse is onto [0, nc) by construction
 	}
-	for c, w := range vw {
-		b.SetVertexWeight(c, w)
-	}
-	g.ForEachEdge(func(u, v int, w float64) {
-		cu, cv := toCoarse[u], toCoarse[v]
-		if cu != cv {
-			b.AddEdge(int(cu), int(cv), w)
-		} else {
-			b.AddSelfLoop(int(cu), w)
-		}
-	})
-	if g.HasLoops() {
-		for v := 0; v < n; v++ {
-			if l := g.VertexLoop(v); l > 0 {
-				b.AddSelfLoop(int(toCoarse[v]), l)
-			}
-		}
-	}
-	return b.MustBuild(), toCoarse
+	return coarse, toCoarse
 }

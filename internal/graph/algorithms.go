@@ -1,6 +1,10 @@
 package graph
 
-import "sync"
+import (
+	"fmt"
+	"sort"
+	"sync"
+)
 
 // BFSLevels performs a breadth-first search from src and returns the hop
 // distance of every vertex (-1 for unreachable vertices).
@@ -116,9 +120,10 @@ func Induced(g *Graph, vertices []int32) *Subgraph {
 	}
 	localIndexPool.Put(&local)
 	if err := sub.rebuildDerived(); err != nil {
-		// Only a repeated vertex, or a non-finite weight Builder let into
-		// the parent, breaks the canonical form.
-		panic(err)
+		// The rows are sorted and symmetric by construction; only a
+		// repeated vertex in the list, or a non-finite weight Builder let
+		// into the parent, fails the check.
+		panic(fmt.Errorf("graph: induced: %w", err))
 	}
 	return &Subgraph{G: sub, Orig: append([]int32(nil), vertices...)}
 }
@@ -135,9 +140,17 @@ func borrowLocalIndex(n int) []int32 {
 	return make([]int32, n)
 }
 
-// sortArcs insertion-sorts one adjacency row by neighbor id, carrying the
-// weights along; rows are short and usually already sorted.
+// sortArcs sorts one adjacency row by neighbor id, carrying the weights
+// along. Rows are short and usually already sorted, so insertion sort
+// handles them; a row longer than sortArcsCutoff (a hub, or any row of a
+// shuffled vertex list) goes to sort.Sort, O(d log d) instead of the
+// quadratic worst case. Neighbor ids in a row are distinct, so both sorts
+// give the same result.
 func sortArcs(nbrs []int32, wts []float64) {
+	if len(nbrs) > sortArcsCutoff {
+		sort.Sort(arcRow{nbrs, wts})
+		return
+	}
 	for i := 1; i < len(nbrs); i++ {
 		u, w := nbrs[i], wts[i]
 		j := i - 1
@@ -146,6 +159,23 @@ func sortArcs(nbrs []int32, wts []float64) {
 		}
 		nbrs[j+1], wts[j+1] = u, w
 	}
+}
+
+// sortArcsCutoff is the row length above which sortArcs leaves insertion
+// sort.
+const sortArcsCutoff = 32
+
+// arcRow orders an adjacency row by neighbor id, weights alongside.
+type arcRow struct {
+	nbrs []int32
+	wts  []float64
+}
+
+func (r arcRow) Len() int           { return len(r.nbrs) }
+func (r arcRow) Less(i, j int) bool { return r.nbrs[i] < r.nbrs[j] }
+func (r arcRow) Swap(i, j int) {
+	r.nbrs[i], r.nbrs[j] = r.nbrs[j], r.nbrs[i]
+	r.wts[i], r.wts[j] = r.wts[j], r.wts[i]
 }
 
 // FarthestPointSeeds returns k well-spread vertices chosen by greedy

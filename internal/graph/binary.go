@@ -412,7 +412,7 @@ func decodeBinary(data []byte, alias bool) (*Graph, error) {
 		lwgt:   lwgt,
 	}
 	if err := g.rebuildDerived(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: binary %w", err)
 	}
 	if got := ContentHash(g); hex.EncodeToString(got[:]) != info.Digest {
 		return nil, fmt.Errorf("graph: binary content digest mismatch (header %s, content %s)",
@@ -424,10 +424,13 @@ func decodeBinary(data []byte, alias bool) (*Graph, error) {
 // rebuildDerived reconstructs everything Builder.Build derives from the
 // canonical CSR arrays — edge ids and endpoints, per-edge weights, weighted
 // degrees, totals, unit-weight flags — in one O(n+m) pass, validating the
-// canonical invariants as it goes. The adjacency of every vertex must be in
-// Build's order: neighbors smaller than the vertex ascending, then neighbors
-// larger than the vertex ascending, with edge ids assigned in (u,v)-lex
-// order; symmetric arcs must exist and carry bit-identical weights.
+// canonical invariants as it goes. It finishes every graph assembled
+// without a Builder: DecodeBinary, Induced, Relabel and Contract. The
+// adjacency of every vertex must be in Build's order: neighbors smaller
+// than the vertex ascending, then neighbors larger than the vertex
+// ascending, with edge ids assigned in (u,v)-lex order; symmetric arcs must
+// exist and carry bit-identical weights. Errors carry no prefix; each
+// caller adds its own.
 func (g *Graph) rebuildDerived() error {
 	n := g.NumVertices()
 	m := len(g.adjncy) / 2
@@ -451,25 +454,25 @@ func (g *Graph) rebuildDerived() error {
 			v := g.adjncy[a]
 			w := g.adjwgt[a]
 			if v < 0 || int(v) >= n {
-				return fmt.Errorf("graph: binary neighbor %d of vertex %d out of range [0,%d)", v, u, n)
+				return fmt.Errorf("neighbor %d of vertex %d out of range [0,%d)", v, u, n)
 			}
 			if v == int32(u) {
-				return fmt.Errorf("graph: binary self-arc at vertex %d", u)
+				return fmt.Errorf("self-arc at vertex %d", u)
 			}
 			if !(w > 0) || math.IsInf(w, 1) {
-				return fmt.Errorf("graph: binary edge {%d,%d} weight %g not positive and finite", u, v, w)
+				return fmt.Errorf("edge {%d,%d} weight %g not positive and finite", u, v, w)
 			}
 			d += w
 			if v > int32(u) {
 				// First arc of edge (u, v): assign the next edge id. The
 				// suffix must ascend for ids to come out in (u,v)-lex order.
 				if seenLarger && v <= prev {
-					return fmt.Errorf("graph: binary adjacency of vertex %d not in canonical order", u)
+					return fmt.Errorf("adjacency of vertex %d not in canonical order", u)
 				}
 				seenLarger = true
 				prev = v
 				if int(eid) >= m {
-					return fmt.Errorf("graph: binary adjacency implies more than %d edges", m)
+					return fmt.Errorf("adjacency implies more than %d edges", m)
 				}
 				g.eu[eid], g.ev[eid] = int32(u), v
 				g.ewgt[eid] = w
@@ -479,17 +482,17 @@ func (g *Graph) rebuildDerived() error {
 				// arrive here in ascending u.
 				ra := g.xadj[v] + cursor[v]
 				if ra >= g.xadj[v+1] || g.adjncy[ra] != int32(u) {
-					return fmt.Errorf("graph: binary edge {%d,%d} has no symmetric arc", u, v)
+					return fmt.Errorf("edge {%d,%d} has no symmetric arc", u, v)
 				}
 				if g.adjwgt[ra] != w {
-					return fmt.Errorf("graph: binary edge {%d,%d} listed with weights %g and %g", u, v, g.adjwgt[ra], w)
+					return fmt.Errorf("edge {%d,%d} listed with weights %g and %g", u, v, g.adjwgt[ra], w)
 				}
 				g.arcEID[ra] = eid
 				cursor[v]++
 				eid++
 				g.totW += w
 			} else if seenLarger {
-				return fmt.Errorf("graph: binary adjacency of vertex %d not in canonical order", u)
+				return fmt.Errorf("adjacency of vertex %d not in canonical order", u)
 			}
 		}
 		// Every smaller neighbor must have been consumed by the time u's own
@@ -503,11 +506,11 @@ func (g *Graph) rebuildDerived() error {
 		g.totVW += g.vwgt[u]
 	}
 	if int(eid) != m {
-		return fmt.Errorf("graph: binary adjacency implies %d edges, header says %d", eid, m)
+		return fmt.Errorf("adjacency implies %d edges, arc count implies %d", eid, m)
 	}
 	for u := 0; u < n; u++ {
 		if int(g.xadj[u]+cursor[u]) != firstLargerArc(g, u) {
-			return fmt.Errorf("graph: binary adjacency of vertex %d not in canonical order", u)
+			return fmt.Errorf("adjacency of vertex %d not in canonical order", u)
 		}
 	}
 	for _, w := range g.ewgt {

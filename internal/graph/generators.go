@@ -131,7 +131,8 @@ func GNP(n int, p float64, seed int64) *Graph {
 
 // RandomGeometric places n points uniformly in the unit square and connects
 // pairs within the given radius; edge weight is 1. The graph is made
-// connected by adding nearest-pair links between components.
+// connected by adding nearest-pair links between components (see
+// nearestLinks).
 func RandomGeometric(n int, radius float64, seed int64) *Graph {
 	r := rng.New(seed)
 	xs := make([]float64, n)
@@ -150,28 +151,92 @@ func RandomGeometric(n int, radius float64, seed int64) *Graph {
 		}
 	}
 	g := b.MustBuild()
-	for {
-		comp, count := Components(g)
-		if count == 1 {
-			return g
+	comp, count := Components(g)
+	if count == 1 {
+		return g
+	}
+	b = NewBuilder(n)
+	b.Reserve(g.NumEdges() + count - 1)
+	g.ForEachEdge(func(u, v int, w float64) { b.AddEdge(u, v, w) })
+	for _, l := range nearestLinks(xs, ys, comp, count) {
+		b.AddEdge(l[0], l[1], 1)
+	}
+	return b.MustBuild()
+}
+
+// nearestLinks returns the count-1 links that join the components of the
+// point set: repeatedly linking the closest pair of points in different
+// components, ties broken by the smaller (i, j) with i < j. Under that
+// strict order on (squared distance, i, j) the links form the unique
+// minimum spanning tree over the components, so Prim's algorithm finds
+// them in one O(n^2) pass: grow a tree one component at a time, each time
+// adding the component of the outside point whose best link into the tree
+// is smallest.
+func nearestLinks(xs, ys []float64, comp []int32, count int) [][2]int {
+	n := len(xs)
+	type link struct {
+		d    float64
+		i, j int // i < j
+	}
+	less := func(a, b link) bool {
+		if a.d != b.d {
+			return a.d < b.d
 		}
-		// Link the closest pair of vertices in different components.
-		bi, bj, bd := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if comp[i] == comp[j] {
+		if a.i != b.i {
+			return a.i < b.i
+		}
+		return a.j < b.j
+	}
+	// Members of each component, in ascending vertex id.
+	start := make([]int, count+1)
+	for _, c := range comp {
+		start[c+1]++
+	}
+	for c := 0; c < count; c++ {
+		start[c+1] += start[c]
+	}
+	members := make([]int, n)
+	fill := append([]int(nil), start[:count]...)
+	for v, c := range comp {
+		members[fill[c]] = v
+		fill[c]++
+	}
+
+	inTree := make([]bool, count)
+	best := make([]link, n) // best link from each outside point into the tree
+	for v := range best {
+		best[v].d = math.Inf(1)
+	}
+	links := make([][2]int, 0, count-1)
+	c := comp[0]
+	for {
+		inTree[c] = true
+		if len(links) == count-1 {
+			return links
+		}
+		for _, a := range members[start[c]:start[c+1]] {
+			for b := 0; b < n; b++ {
+				if inTree[comp[b]] {
 					continue
 				}
+				i, j := a, b
+				if i > j {
+					i, j = j, i
+				}
 				dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-				if d := dx*dx + dy*dy; d < bd {
-					bi, bj, bd = i, j, d
+				if l := (link{dx*dx + dy*dy, i, j}); less(l, best[b]) {
+					best[b] = l
 				}
 			}
 		}
-		b2 := NewBuilder(n)
-		g.ForEachEdge(func(u, v int, w float64) { b2.AddEdge(u, v, w) })
-		b2.AddEdge(bi, bj, 1)
-		g = b2.MustBuild()
+		next := -1
+		for b := 0; b < n; b++ {
+			if !inTree[comp[b]] && (next < 0 || less(best[b], best[next])) {
+				next = b
+			}
+		}
+		links = append(links, [2]int{best[next].i, best[next].j})
+		c = comp[next]
 	}
 }
 

@@ -74,7 +74,7 @@ func (g *Graph) EdgeWeightOf(e int) float64 { return g.ewgt[e] }
 func (g *Graph) VertexWeight(v int) float64 { return g.vwgt[v] }
 
 // VertexLoop returns the self-loop weight of vertex v (0 unless the graph
-// was built with AddSelfLoop — in practice, a coarse graph whose vertex v
+// was built with AddSelfLoop or is a Contract quotient whose vertex v
 // absorbed contracted edges). Unordered convention: a fine edge of weight w
 // contracted inside v contributes w here.
 func (g *Graph) VertexLoop(v int) float64 {

@@ -9,11 +9,13 @@ import "fmt"
 // values and therefore survive. perm must be a bijection on the vertex ids
 // (order.IsPermutation).
 //
-// The relabeled graph is built through Builder, which re-sorts each
-// adjacency list into ascending neighbor order — exactly the invariant the
+// A bijection is a contraction with nothing to merge, so the relabeled
+// graph is Contract's quotient under perm: assembled straight into CSR, each
+// adjacency list in ascending neighbor order — exactly the invariant the
 // locality orderings in internal/order are chosen to exploit: after
 // relabeling with order.Locality, ascending neighbor ids are also
-// cache-adjacent ids.
+// cache-adjacent ids. With no parallel edges nothing is summed, and the
+// result is bit for bit the graph a Builder fed the relabeled edges builds.
 func Relabel(g *Graph, perm []int32) (*Graph, error) {
 	n := g.NumVertices()
 	if len(perm) != n {
@@ -31,22 +33,5 @@ func Relabel(g *Graph, perm []int32) (*Graph, error) {
 		}
 		seen[p] = true
 	}
-	b := NewBuilder(n)
-	b.Reserve(g.NumEdges())
-	g.ForEachEdge(func(u, v int, w float64) {
-		b.AddEdge(int(perm[u]), int(perm[v]), w)
-	})
-	if !g.UnitVertexWeights() {
-		for v := 0; v < n; v++ {
-			b.SetVertexWeight(int(perm[v]), g.VertexWeight(v))
-		}
-	}
-	if g.HasLoops() {
-		for v := 0; v < n; v++ {
-			if lw := g.VertexLoop(v); lw != 0 {
-				b.AddSelfLoop(int(perm[v]), lw)
-			}
-		}
-	}
-	return b.Build()
+	return Contract(g, perm, n)
 }
