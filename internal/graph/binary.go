@@ -74,38 +74,42 @@ const maxBinaryVertices = 1<<31 - 1
 // versions.
 func ContentHash(g *Graph) [sha256.Size]byte {
 	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(x int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
-	}
-	writeFloat := func(f float64) {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		h.Write(buf[:])
+	// The 8-byte words are staged in one block and hashed a block at a
+	// time; the byte stream is the same as writing them one by one.
+	var block [4096]byte
+	k := 0
+	put := func(x uint64) {
+		if k == len(block) {
+			h.Write(block[:])
+			k = 0
+		}
+		binary.LittleEndian.PutUint64(block[k:], x)
+		k += 8
 	}
 	n := g.NumVertices()
-	writeInt(int64(n))
-	writeInt(int64(g.NumEdges()))
+	put(uint64(n))
+	put(uint64(g.NumEdges()))
 	for v := 0; v < n; v++ {
-		writeFloat(g.VertexWeight(v))
+		put(math.Float64bits(g.VertexWeight(v)))
 		nbrs := g.Neighbors(v)
 		wts := g.Weights(v)
 		for i, u := range nbrs {
 			if int(u) < v {
 				continue // count each undirected edge once, from its low endpoint
 			}
-			writeInt(int64(u))
-			writeFloat(wts[i])
+			put(uint64(u))
+			put(math.Float64bits(wts[i]))
 		}
 	}
 	if g.HasLoops() {
 		// Appended only when loops exist, so loop-free digests are
 		// byte-for-byte the historical ones.
-		writeInt(-1) // section marker, unreachable as a neighbor id
+		put(^uint64(0)) // section marker -1, unreachable as a neighbor id
 		for v := 0; v < n; v++ {
-			writeFloat(g.VertexLoop(v))
+			put(math.Float64bits(g.VertexLoop(v)))
 		}
 	}
+	h.Write(block[:k])
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
@@ -421,16 +425,15 @@ func decodeBinary(data []byte, alias bool) (*Graph, error) {
 	return g, nil
 }
 
-// rebuildDerived reconstructs everything Builder.Build derives from the
-// canonical CSR arrays — edge ids and endpoints, per-edge weights, weighted
-// degrees, totals, unit-weight flags — in one O(n+m) pass, validating the
-// canonical invariants as it goes. It finishes every graph assembled
-// without a Builder: DecodeBinary, Induced, Relabel and Contract. The
-// adjacency of every vertex must be in Build's order: neighbors smaller
-// than the vertex ascending, then neighbors larger than the vertex
-// ascending, with edge ids assigned in (u,v)-lex order; symmetric arcs must
-// exist and carry bit-identical weights. Errors carry no prefix; each
-// caller adds its own.
+// rebuildDerived reconstructs everything derived from the canonical CSR
+// arrays — edge ids and endpoints, per-edge weights, weighted degrees,
+// totals, unit-weight flags — in one O(n+m) pass, validating the canonical
+// invariants as it goes. It finishes every graph: DecodeBinary, Induced,
+// and through finish Build, ReadMETIS and Contract. The adjacency of every
+// vertex must be ascending (neighbors smaller than the vertex, then the
+// larger ones), with edge ids assigned in (u,v)-lex order; symmetric arcs
+// must exist and carry bit-identical positive finite weights. Errors carry
+// no prefix; each caller adds its own.
 func (g *Graph) rebuildDerived() error {
 	n := g.NumVertices()
 	m := len(g.adjncy) / 2
@@ -447,58 +450,50 @@ func (g *Graph) rebuildDerived() error {
 	g.unitEW, g.unitVW = true, true
 	for u := 0; u < n; u++ {
 		lo, hi := g.xadj[u], g.xadj[u+1]
-		seenLarger := false
-		prev := int32(-1)
+		// The rows before u have matched every edge (x, u), x < u, to the
+		// first cursor[u] arcs of u's row and checked them; the rest of the
+		// row must list u's larger neighbors, ascending.
+		mid := lo + cursor[u]
 		d := 0.0
-		for a := lo; a < hi; a++ {
-			v := g.adjncy[a]
-			w := g.adjwgt[a]
-			if v < 0 || int(v) >= n {
+		for _, w := range g.adjwgt[lo:mid] {
+			d += w
+		}
+		prev := int32(u)
+		for a := mid; a < hi; a++ {
+			v, w := g.adjncy[a], g.adjwgt[a]
+			switch {
+			case v < 0 || int(v) >= n:
 				return fmt.Errorf("neighbor %d of vertex %d out of range [0,%d)", v, u, n)
-			}
-			if v == int32(u) {
+			case v == int32(u):
 				return fmt.Errorf("self-arc at vertex %d", u)
-			}
-			if !(w > 0) || math.IsInf(w, 1) {
+			case v <= prev:
+				return fmt.Errorf("adjacency of vertex %d not in canonical order", u)
+			case !positiveFinite(w):
 				return fmt.Errorf("edge {%d,%d} weight %g not positive and finite", u, v, w)
+			case int(eid) >= m:
+				return fmt.Errorf("adjacency implies more than %d edges", m)
 			}
 			d += w
-			if v > int32(u) {
-				// First arc of edge (u, v): assign the next edge id. The
-				// suffix must ascend for ids to come out in (u,v)-lex order.
-				if seenLarger && v <= prev {
-					return fmt.Errorf("adjacency of vertex %d not in canonical order", u)
-				}
-				seenLarger = true
-				prev = v
-				if int(eid) >= m {
-					return fmt.Errorf("adjacency implies more than %d edges", m)
-				}
-				g.eu[eid], g.ev[eid] = int32(u), v
-				g.ewgt[eid] = w
-				g.arcEID[a] = eid
-				// The reverse arc must sit at v's cursor: v's prefix lists
-				// its smaller neighbors in ascending order, and edges (·,v)
-				// arrive here in ascending u.
-				ra := g.xadj[v] + cursor[v]
-				if ra >= g.xadj[v+1] || g.adjncy[ra] != int32(u) {
-					return fmt.Errorf("edge {%d,%d} has no symmetric arc", u, v)
-				}
-				if g.adjwgt[ra] != w {
-					return fmt.Errorf("edge {%d,%d} listed with weights %g and %g", u, v, g.adjwgt[ra], w)
-				}
-				g.arcEID[ra] = eid
-				cursor[v]++
-				eid++
-				g.totW += w
-			} else if seenLarger {
-				return fmt.Errorf("adjacency of vertex %d not in canonical order", u)
+			prev = v
+			// First arc of edge (u, v): assign the next edge id, so ids come
+			// out in (u,v)-lex order. The reverse arc must sit at v's
+			// cursor: v's prefix lists its smaller neighbors in ascending
+			// order, and edges (·,v) arrive here in ascending u.
+			g.eu[eid], g.ev[eid] = int32(u), v
+			g.ewgt[eid] = w
+			g.arcEID[a] = eid
+			ra := g.xadj[v] + cursor[v]
+			if ra >= g.xadj[v+1] || g.adjncy[ra] != int32(u) {
+				return fmt.Errorf("edge {%d,%d} has no symmetric arc", u, v)
 			}
+			if g.adjwgt[ra] != w {
+				return fmt.Errorf("edge {%d,%d} listed with weights %g and %g", u, v, g.adjwgt[ra], w)
+			}
+			g.arcEID[ra] = eid
+			cursor[v]++
+			eid++
+			g.totW += w
 		}
-		// Every smaller neighbor must have been consumed by the time u's own
-		// row is done being everyone's reverse target... checked globally
-		// below via eid == m; a stray prefix arc surfaces as a missing
-		// symmetric arc or an id shortfall.
 		g.wdeg[u] = d
 		if g.vwgt[u] != 1 {
 			g.unitVW = false
@@ -507,11 +502,6 @@ func (g *Graph) rebuildDerived() error {
 	}
 	if int(eid) != m {
 		return fmt.Errorf("adjacency implies %d edges, arc count implies %d", eid, m)
-	}
-	for u := 0; u < n; u++ {
-		if int(g.xadj[u]+cursor[u]) != firstLargerArc(g, u) {
-			return fmt.Errorf("adjacency of vertex %d not in canonical order", u)
-		}
 	}
 	for _, w := range g.ewgt {
 		if w != 1 {
@@ -523,16 +513,4 @@ func (g *Graph) rebuildDerived() error {
 		g.totLW += w
 	}
 	return nil
-}
-
-// firstLargerArc returns the index of u's first arc pointing to a neighbor
-// larger than u (== the end of the smaller-neighbor prefix).
-func firstLargerArc(g *Graph, u int) int {
-	lo, hi := g.xadj[u], g.xadj[u+1]
-	for a := lo; a < hi; a++ {
-		if g.adjncy[a] > int32(u) {
-			return int(a)
-		}
-	}
-	return int(hi)
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -79,10 +81,13 @@ func TestBuildLargeMergesAtScale(t *testing.T) {
 
 // BenchmarkBuilderLargeBuild measures a ~1M-edge build (500k distinct edges
 // added twice, i.e. 1M AddEdge calls with a full merge pass). Reference
-// numbers on one 2.1 GHz Xeon core: the former map[[2]int32]float64
-// accumulator took 279 ms/op, 71 MB/op, ~4100 allocs/op; the slice
-// accumulator takes ~71 ms/op (117 MB/op grown, 45 MB/op with Reserve) in
-// under 55 allocations.
+// numbers: the original map[[2]int32]float64 accumulator took 279 ms/op,
+// 71 MB/op, ~4100 allocs/op on one 2.1 GHz Xeon core. On a shared 2-core
+// Xeon VM (-cpu 1), the slice accumulator with a stable sort took ~110 ms/op
+// grown (119 MB/op) and ~115 ms/op reserved (47 MB/op); the counting-sort
+// assembly takes ~80 ms/op grown (144 MB/op) and ~59 ms/op reserved
+// (72 MB/op), in 54 and 16 allocations. The extra 25 MB/op is the arc
+// bucket the merge runs in.
 func BenchmarkBuilderLargeBuild(b *testing.B) {
 	const rows, cols = 250, 1000
 	for _, mode := range []struct {
@@ -98,6 +103,64 @@ func BenchmarkBuilderLargeBuild(b *testing.B) {
 				}
 				if g.NumEdges() != 2*rows*cols {
 					b.Fatalf("NumEdges = %d", g.NumEdges())
+				}
+			}
+		})
+	}
+}
+
+// benchEdges lists geo10k's edges in edge-id order, (u, v)-sorted, and
+// shuffled.
+func benchEdges() (n int, sorted, shuffled []builderEdge) {
+	g := RandomGeometric(10000, 0.02, 1)
+	g.ForEachEdge(func(u, v int, w float64) { sorted = append(sorted, builderEdge{int32(u), int32(v), w}) })
+	shuffled = append([]builderEdge(nil), sorted...)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	return g.NumVertices(), sorted, shuffled
+}
+
+// BenchmarkBuild builds geo10k (10k vertices, 61.6k edges) from its edge
+// list in sorted and in shuffled order; the counting-sort assembly makes
+// the two cost the same.
+func BenchmarkBuild(b *testing.B) {
+	n, sorted, shuffled := benchEdges()
+	for _, order := range []struct {
+		name  string
+		edges []builderEdge
+	}{{"sorted", sorted}, {"shuffled", shuffled}} {
+		b.Run(order.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bd := NewBuilder(n)
+				bd.Reserve(len(order.edges))
+				for _, e := range order.edges {
+					bd.AddEdge(int(e.u), int(e.v), e.w)
+				}
+				if _, err := bd.Build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadMETIS parses the METIS text of geo10k and of a 100x100
+// torus, the inline graphs of the serve-admit workload.
+func BenchmarkReadMETIS(b *testing.B) {
+	for _, inst := range []struct {
+		name string
+		g    *Graph
+	}{{"geo10k", RandomGeometric(10000, 0.02, 1)}, {"torus100", Torus2D(100, 100)}} {
+		var text strings.Builder
+		if err := WriteMETIS(&text, inst.g); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(inst.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(text.Len()))
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadMETIS(strings.NewReader(text.String())); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -10,12 +10,12 @@ import "fmt"
 // folded into that vertex's self-loop weight, together with the self-loop
 // weight its members already carried.
 //
-// The CSR is assembled directly in O(n + m + nc), and the result is bit for
-// bit the graph a Builder fed the same contraction would build:
+// The fine edges feed a Builder directly, so the CSR is assembled in
+// O(n + m + nc) by the same core as Build, with these fold orders:
 //
 //   - a coarse vertex weight is 0 + its members' weights in ascending fine id;
 //   - a coarse edge weight is a left fold of its fine edges' weights in
-//     ascending fine edge id (Builder's stable-sort merge order);
+//     ascending fine edge id (Builder's insertion-order merge);
 //   - a self-loop weight is 0 + the internal fine edges in edge-id order,
 //     then each member's carried loop in ascending fine id, and the loop
 //     section exists only if some internal edge or carried loop does.
@@ -24,13 +24,13 @@ func Contract(g *Graph, toCoarse []int32, nc int) (*Graph, error) {
 	if len(toCoarse) != n {
 		return nil, fmt.Errorf("graph: contraction map has %d entries for %d vertices", len(toCoarse), n)
 	}
-	vwgt := make([]float64, nc)
+	b := &Builder{n: nc, vwgt: make([]float64, nc), edges: make([]builderEdge, 0, m)}
 	members := make([]int32, nc)
 	for v, c := range toCoarse {
 		if c < 0 || int(c) >= nc {
 			return nil, fmt.Errorf("graph: contraction maps vertex %d to out-of-range id %d", v, c)
 		}
-		vwgt[c] += g.vwgt[v]
+		b.vwgt[c] += g.vwgt[v]
 		members[c]++
 	}
 	for c, k := range members {
@@ -38,66 +38,73 @@ func Contract(g *Graph, toCoarse []int32, nc int) (*Graph, error) {
 			return nil, fmt.Errorf("graph: contraction leaves coarse vertex %d without members", c)
 		}
 	}
-
-	// Bucket the cut fine edges by coarse endpoint, both directions, in
-	// ascending edge id (a stable counting sort); fold the internal ones
-	// into self-loops on the way.
-	start := make([]int32, nc+1)
-	var lwgt []float64
+	// The cut fine edges enter the builder in ascending edge id, the order
+	// their weights fold in; the internal ones fold into self-loops.
 	for e := 0; e < m; e++ {
 		cu, cv := toCoarse[g.eu[e]], toCoarse[g.ev[e]]
 		if cu != cv {
-			start[cu+1]++
-			start[cv+1]++
+			b.edges = append(b.edges, builderEdge{cu, cv, g.ewgt[e]})
 			continue
 		}
-		if lwgt == nil {
-			lwgt = make([]float64, nc)
+		if b.lwgt == nil {
+			b.lwgt = make([]float64, nc)
 		}
-		lwgt[cu] += g.ewgt[e]
+		b.lwgt[cu] += g.ewgt[e]
 	}
-	if g.lwgt != nil {
-		for v, l := range g.lwgt {
-			if l > 0 {
-				if lwgt == nil {
-					lwgt = make([]float64, nc)
-				}
-				lwgt[toCoarse[v]] += l
+	for v, l := range g.lwgt {
+		if l > 0 {
+			if b.lwgt == nil {
+				b.lwgt = make([]float64, nc)
 			}
+			b.lwgt[toCoarse[v]] += l
 		}
 	}
-	for c := 0; c < nc; c++ {
-		start[c+1] += start[c]
+	cg, err := b.assemble()
+	if err != nil {
+		return nil, fmt.Errorf("graph: contraction: %w", err)
 	}
-	nbr := make([]int32, start[nc])
-	wt := make([]float64, start[nc])
-	pos := make([]int32, nc)
-	copy(pos, start[:nc])
-	for e := 0; e < m; e++ {
-		cu, cv := toCoarse[g.eu[e]], toCoarse[g.ev[e]]
-		if cu == cv {
-			continue
-		}
-		w := g.ewgt[e]
-		nbr[pos[cu]], wt[pos[cu]] = cv, w
-		pos[cu]++
-		nbr[pos[cv]], wt[pos[cv]] = cu, w
-		pos[cv]++
-	}
+	return cg, nil
+}
 
-	// Merge each bucket's parallel arcs in place, in bucket order: slot[d]
-	// is where neighbor d's entry sits if it is at or past the current
-	// row's start. Both arcs of a coarse edge fold the same fine edges in
-	// the same order, so they carry identical weights.
-	xadj := make([]int32, nc+1)
-	slot := pos // reused as the merge slot table
-	for c := range slot {
-		slot[c] = -1
+// assemble is the linear-time CSR assembly behind Build and Contract (and
+// so Relabel, WithEdits and every generator). It buckets both arcs of each
+// buffered edge by endpoint with a stable counting sort, so every row lists
+// its arcs in insertion order; merges each row's parallel arcs through a
+// slot table, left-folding their weights in that order (both arcs of an
+// edge fold the same sequence, so they stay equal); and hands the merged
+// rows to finish. Edges may be stored in either orientation. The edge
+// buffer is consumed; errors carry no prefix.
+func (b *Builder) assemble() (*Graph, error) {
+	n := b.n
+	start := make([]int32, n+1)
+	for _, e := range b.edges {
+		start[e.u+1]++
+		start[e.v+1]++
 	}
-	out := int32(0)
-	for c := 0; c < nc; c++ {
-		row := out
-		for i := start[c]; i < start[c+1]; i++ {
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	nbr := make([]int32, start[n])
+	wt := make([]float64, start[n])
+	slot := make([]int32, n)
+	copy(slot, start[:n])
+	for _, e := range b.edges {
+		nbr[slot[e.u]], wt[slot[e.u]] = e.v, e.w
+		slot[e.u]++
+		nbr[slot[e.v]], wt[slot[e.v]] = e.u, e.w
+		slot[e.v]++
+	}
+	b.edges = nil
+
+	// Merge in place, row by row: slot[d] is where neighbor d's arc sits if
+	// it is at or past the current row's output start. start becomes xadj.
+	for v := range slot {
+		slot[v] = -1
+	}
+	out, lo := int32(0), int32(0)
+	for v := 0; v < n; v++ {
+		row, hi := out, start[v+1]
+		for i := lo; i < hi; i++ {
 			d, w := nbr[i], wt[i]
 			if s := slot[d]; s >= row {
 				wt[s] += w
@@ -107,15 +114,40 @@ func Contract(g *Graph, toCoarse []int32, nc int) (*Graph, error) {
 			nbr[out], wt[out] = d, w
 			out++
 		}
-		xadj[c+1] = out
+		start[v+1], lo = out, hi
 	}
+	return finish(start, nbr, wt, b.vwgt, b.lwgt)
+}
 
-	cg := &Graph{xadj: xadj, vwgt: vwgt, lwgt: lwgt}
-	cg.adjncy, cg.adjwgt = transposeRows(xadj, nbr, wt)
-	if err := cg.rebuildDerived(); err != nil {
-		return nil, fmt.Errorf("graph: contraction: %w", err)
+// finish completes a graph from rows that list every edge once from each
+// endpoint with equal weights: rows already ascending in exactly sized
+// arrays (sorted input) are kept as they are, any others are sorted by
+// transposeRows, and rebuildDerived validates the result and derives the
+// rest. Every row's arc count must equal the number of arcs naming its
+// vertex, or the transposition overruns. The arrays are consumed; errors
+// carry no prefix.
+func finish(xadj, nbr []int32, wt []float64, vwgt, lwgt []float64) (*Graph, error) {
+	g := &Graph{xadj: xadj, adjncy: nbr, adjwgt: wt, vwgt: vwgt, lwgt: lwgt}
+	if arcs := int(xadj[len(xadj)-1]); cap(nbr) != arcs || cap(wt) != arcs || !ascendingRows(xadj, nbr) {
+		g.adjncy, g.adjwgt = transposeRows(xadj, nbr, wt)
 	}
-	return cg, nil
+	if err := g.rebuildDerived(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// ascendingRows reports whether every row lists strictly ascending
+// neighbors.
+func ascendingRows(xadj, nbr []int32) bool {
+	for v := 1; v < len(xadj); v++ {
+		for i := xadj[v-1] + 1; i < xadj[v]; i++ {
+			if nbr[i] <= nbr[i-1] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // transposeRows returns the adjacency of a symmetric CSR (rows in any

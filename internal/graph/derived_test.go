@@ -9,8 +9,9 @@ import (
 
 // Equivalence suite for the graphs assembled straight into CSR: Contract,
 // Relabel and Induced must equal, field for field and bit for bit, the
-// graph a Builder fed the same edges builds. The builder* functions are
-// those Builder reference paths.
+// graph the frozen referenceBuild builds from the same edges. The builder*
+// functions are those reference paths; they feed a Builder but finish with
+// referenceBuild, never with the assembly core under test.
 
 // builderContract is the Builder reference for Contract: the body coarsening
 // used before Contract existed.
@@ -38,7 +39,7 @@ func builderContract(g *Graph, toCoarse []int32, nc int) *Graph {
 			}
 		}
 	}
-	return b.MustBuild()
+	return mustReferenceBuild(b)
 }
 
 // builderRelabel is the Builder reference for Relabel.
@@ -54,7 +55,7 @@ func builderRelabel(g *Graph, perm []int32) *Graph {
 			b.AddSelfLoop(int(perm[v]), lw)
 		}
 	}
-	return b.MustBuild()
+	return mustReferenceBuild(b)
 }
 
 // builderInduced is the Builder reference for Induced.
@@ -74,7 +75,7 @@ func builderInduced(g *Graph, vertices []int32) *Graph {
 			b.AddEdge(lu, lv, w)
 		}
 	})
-	return b.MustBuild()
+	return mustReferenceBuild(b)
 }
 
 // sameAsBuilder fails unless got equals the Builder reference want in every
@@ -280,5 +281,86 @@ func TestInducedMatchesBuilder(t *testing.T) {
 			vertices[i] = int32(v)
 		}
 		sameAsBuilder(t, "induced", Induced(g, vertices).G, builderInduced(g, vertices))
+	}
+}
+
+// TestBuildMatchesReference feeds identical add sequences to two Builders
+// and requires Build to reproduce referenceBuild exactly: random insertion
+// orders and orientations, float-weighted parallel edges added in every
+// order (their sums differ in the low bits by order), loops, vertex
+// weights, n = 0 and 1, and a graph without edges.
+func TestBuildMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	check := func(name string, n int, feed func(b *Builder)) {
+		t.Helper()
+		live, ref := NewBuilder(n), NewBuilder(n)
+		feed(live)
+		feed(ref)
+		got, err := live.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameAsBuilder(t, name, got, mustReferenceBuild(ref))
+	}
+	check("n=0", 0, func(*Builder) {})
+	check("n=1", 1, func(b *Builder) { b.SetVertexWeight(0, 2.5) })
+	check("n=1 loop", 1, func(b *Builder) { b.AddSelfLoop(0, 0.3); b.AddSelfLoop(0, 0.1) })
+	check("no edges", 7, func(b *Builder) { b.SetVertexWeight(3, 0.7); b.AddSelfLoop(5, 1.5) })
+
+	// Three parallels whose sum depends on the fold order, in all six orders,
+	// next to a second pair that is folded in the opposite direction.
+	parallels := []float64{0.1, 0.2, 0.3}
+	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		check("parallel order", 4, func(b *Builder) {
+			for i, k := range order {
+				b.AddEdge(2, 1, parallels[k])
+				b.AddEdge(0, 3, parallels[2-i])
+			}
+			b.AddEdge(3, 2, 1e-17)
+			b.AddEdge(1, 2, 1e16)
+		})
+	}
+
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(150)
+		type edge struct {
+			u, v int
+			w    float64
+		}
+		var edges []edge
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if r.Float64() < 0.08 {
+					edges = append(edges, edge{i, j, 0.01 + 5*r.Float64()})
+					for r.Intn(4) == 0 {
+						edges = append(edges, edge{j, i, 0.01 + r.Float64()})
+					}
+				}
+			}
+		}
+		r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		vw := make([]float64, n)
+		loops := make([]float64, n)
+		for v := range vw {
+			vw[v] = 1
+			if r.Intn(3) == 0 {
+				vw[v] = 0.1 + 3*r.Float64()
+			}
+			if trial%2 == 0 && r.Intn(5) == 0 {
+				loops[v] = 0.01 + 2*r.Float64()
+			}
+		}
+		check("random", n, func(b *Builder) {
+			b.Reserve(len(edges) / 2)
+			for v := range vw {
+				b.SetVertexWeight(v, vw[v])
+				if loops[v] > 0 {
+					b.AddSelfLoop(v, loops[v])
+				}
+			}
+			for _, e := range edges {
+				b.AddEdge(e.u, e.v, e.w)
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // Graph is an immutable weighted undirected graph in CSR form.
@@ -146,17 +146,19 @@ func (g *Graph) ForEachEdgeID(fn func(e, u, v int, w float64)) {
 }
 
 // Builder accumulates edges and produces an immutable Graph.
-// Parallel edges between the same vertex pair are merged by summing weights.
+// Parallel edges between the same vertex pair are merged by summing weights
+// in insertion order.
 //
 // Edges are buffered in a flat slice (24 bytes each, amortized) rather than a
-// hash map and deduplicated by a sort-then-merge pass inside Build, so
-// million-edge builds cost a fraction of the memory of the former
-// map[[2]int32]float64 accumulator; see BenchmarkBuilderLargeBuild.
+// hash map; Build buckets them by endpoint with a stable counting sort and
+// merges the parallels in linear time (see assemble), so million-edge builds
+// cost a fraction of the memory of the former map[[2]int32]float64
+// accumulator and no comparison sort; see BenchmarkBuilderLargeBuild.
 type Builder struct {
 	n     int
 	vwgt  []float64
 	lwgt  []float64     // nil until the first AddSelfLoop
-	edges []builderEdge // u < v normalized; parallels merged at Build time
+	edges []builderEdge // AddEdge stores u < v; parallels merged at Build time
 	err   error
 }
 
@@ -175,8 +177,8 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge adds an undirected edge {u,v} with weight w, merging parallels.
-// Self-loops, out-of-range endpoints and non-positive weights are recorded as
-// errors reported by Build.
+// Self-loops, out-of-range endpoints and weights that are not positive and
+// finite are recorded as errors reported by Build.
 func (b *Builder) AddEdge(u, v int, w float64) {
 	if b.err != nil {
 		return
@@ -186,8 +188,8 @@ func (b *Builder) AddEdge(u, v int, w float64) {
 		b.err = fmt.Errorf("graph: self-loop at vertex %d", u)
 	case u < 0 || u >= b.n || v < 0 || v >= b.n:
 		b.err = fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, b.n)
-	case w <= 0:
-		b.err = fmt.Errorf("graph: edge {%d,%d} has non-positive weight %g", u, v, w)
+	case !positiveFinite(w):
+		b.err = fmt.Errorf("graph: edge {%d,%d} weight %g not positive and finite", u, v, w)
 	default:
 		if u > v {
 			u, v = v, u
@@ -199,8 +201,8 @@ func (b *Builder) AddEdge(u, v int, w float64) {
 // AddSelfLoop adds w to the self-loop weight of vertex v. Self-loops are
 // deliberately separate from AddEdge (which rejects u == v): they never
 // enter the adjacency and can never be cut; they record internal weight a
-// coarsening contraction folded into v. Non-positive w and out-of-range v
-// are recorded as errors reported by Build.
+// coarsening contraction folded into v. A w that is not positive and finite
+// and an out-of-range v are recorded as errors reported by Build.
 func (b *Builder) AddSelfLoop(v int, w float64) {
 	if b.err != nil {
 		return
@@ -208,8 +210,8 @@ func (b *Builder) AddSelfLoop(v int, w float64) {
 	switch {
 	case v < 0 || v >= b.n:
 		b.err = fmt.Errorf("graph: self-loop vertex %d out of range [0,%d)", v, b.n)
-	case w <= 0:
-		b.err = fmt.Errorf("graph: self-loop at vertex %d has non-positive weight %g", v, w)
+	case !positiveFinite(w):
+		b.err = fmt.Errorf("graph: self-loop at vertex %d weight %g not positive and finite", v, w)
 	default:
 		if b.lwgt == nil {
 			b.lwgt = make([]float64, b.n)
@@ -232,7 +234,8 @@ func (b *Builder) Reserve(m int) {
 	}
 }
 
-// SetVertexWeight sets the weight of vertex v (default 1).
+// SetVertexWeight sets the weight of vertex v (default 1); it must be
+// positive and finite.
 func (b *Builder) SetVertexWeight(v int, w float64) {
 	if b.err != nil {
 		return
@@ -241,8 +244,8 @@ func (b *Builder) SetVertexWeight(v int, w float64) {
 		b.err = fmt.Errorf("graph: vertex %d out of range [0,%d)", v, b.n)
 		return
 	}
-	if w <= 0 {
-		b.err = fmt.Errorf("graph: vertex %d has non-positive weight %g", v, w)
+	if !positiveFinite(w) {
+		b.err = fmt.Errorf("graph: vertex %d weight %g not positive and finite", v, w)
 		return
 	}
 	b.vwgt[v] = w
@@ -253,97 +256,20 @@ func (b *Builder) SetVertexWeight(v int, w float64) {
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build constructs the CSR graph. The builder must not be reused afterwards.
+// Parallel edges whose summed weight overflows to +Inf, and self-loops
+// summing to +Inf, are errors.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	n := b.n
-	list := b.edges
-	b.edges = nil
-	// Stable, so parallel edges merge their weights in insertion order and
-	// the summed floats match the order-of-add accumulation exactly.
-	sort.SliceStable(list, func(i, j int) bool {
-		if list[i].u != list[j].u {
-			return list[i].u < list[j].u
-		}
-		return list[i].v < list[j].v
-	})
-	// Merge parallel edges in place: after the sort they are adjacent.
-	merged := list[:0]
-	for _, e := range list {
-		if k := len(merged); k > 0 && merged[k-1].u == e.u && merged[k-1].v == e.v {
-			merged[k-1].w += e.w
-			continue
-		}
-		merged = append(merged, e)
-	}
-	list = merged
-	m := len(list)
-
-	g := &Graph{
-		xadj:   make([]int32, n+1),
-		adjncy: make([]int32, 2*m),
-		adjwgt: make([]float64, 2*m),
-		arcEID: make([]int32, 2*m),
-		eu:     make([]int32, m),
-		ev:     make([]int32, m),
-		ewgt:   make([]float64, m),
-		vwgt:   b.vwgt,
-		lwgt:   b.lwgt,
-	}
-	for _, w := range g.lwgt {
-		g.totLW += w
-	}
-	deg := make([]int32, n)
-	for _, e := range list {
-		deg[e.u]++
-		deg[e.v]++
-	}
-	for v := 0; v < n; v++ {
-		g.xadj[v+1] = g.xadj[v] + deg[v]
-	}
-	pos := make([]int32, n)
-	copy(pos, g.xadj[:n])
-	for id, e := range list {
-		g.eu[id], g.ev[id] = e.u, e.v
-		g.ewgt[id] = e.w
-		g.adjncy[pos[e.u]] = e.v
-		g.adjwgt[pos[e.u]] = e.w
-		g.arcEID[pos[e.u]] = int32(id)
-		pos[e.u]++
-		g.adjncy[pos[e.v]] = e.u
-		g.adjwgt[pos[e.v]] = e.w
-		g.arcEID[pos[e.v]] = int32(id)
-		pos[e.v]++
-		g.totW += e.w
-	}
-	for _, w := range g.vwgt {
-		g.totVW += w
-	}
-	// Weighted degrees, summed in adjacency order — the exact accumulation
-	// the per-call loop used before precomputation, so the values are
-	// bit-identical.
-	g.wdeg = make([]float64, n)
-	for v := 0; v < n; v++ {
-		d := 0.0
-		for _, w := range g.adjwgt[g.xadj[v]:g.xadj[v+1]] {
-			d += w
-		}
-		g.wdeg[v] = d
-	}
-	g.unitEW = true
-	for _, w := range g.ewgt {
-		if w != 1 {
-			g.unitEW = false
-			break
+	for v, w := range b.lwgt {
+		if math.IsInf(w, 1) {
+			return nil, fmt.Errorf("graph: self-loops at vertex %d sum to %g, not finite", v, w)
 		}
 	}
-	g.unitVW = true
-	for _, w := range g.vwgt {
-		if w != 1 {
-			g.unitVW = false
-			break
-		}
+	g, err := b.assemble()
+	if err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
 	}
 	return g, nil
 }
@@ -357,3 +283,6 @@ func (b *Builder) MustBuild() *Graph {
 	}
 	return g
 }
+
+// positiveFinite reports whether w is a legal edge, vertex or loop weight.
+func positiveFinite(w float64) bool { return w > 0 && !math.IsInf(w, 1) }

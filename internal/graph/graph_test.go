@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -70,6 +71,31 @@ func TestBuilderErrors(t *testing.T) {
 		f(b)
 		if _, err := b.Build(); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+// TestBuilderRejectsNonFinite covers weights that are, or that merge into,
+// NaN or +Inf: each must fail Build with the "not positive and finite"
+// wording the METIS and binary decoders use, never reach a graph.
+func TestBuilderRejectsNonFinite(t *testing.T) {
+	inf := math.Inf(1)
+	for name, feed := range map[string]func(*Builder){
+		"NaN edge":          func(b *Builder) { b.AddEdge(0, 1, math.NaN()) },
+		"+Inf edge":         func(b *Builder) { b.AddEdge(1, 2, inf) },
+		"+Inf vertex":       func(b *Builder) { b.SetVertexWeight(1, inf) },
+		"NaN vertex":        func(b *Builder) { b.SetVertexWeight(1, math.NaN()) },
+		"+Inf loop":         func(b *Builder) { b.AddSelfLoop(2, inf) },
+		"parallels to +Inf": func(b *Builder) { b.AddEdge(0, 1, 1e308); b.AddEdge(1, 0, 1e308) },
+		"loops to +Inf":     func(b *Builder) { b.AddSelfLoop(2, 1e308); b.AddSelfLoop(2, 1e308) },
+	} {
+		b := NewBuilder(3)
+		feed(b)
+		g, err := b.Build()
+		if err == nil {
+			t.Errorf("%s: built, total edge weight %g", name, g.TotalEdgeWeight())
+		} else if !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%s: error %q", name, err)
 		}
 	}
 }

@@ -2,11 +2,12 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The METIS/Chaco graph file format:
@@ -68,19 +69,28 @@ func WriteMETIS(w io.Writer, g *Graph) error {
 }
 
 // ReadMETIS parses a graph in METIS format. Both endpoints must list every
-// edge; the builder merges the two directed mentions (weights must agree, or
-// the merged weight doubles — we check and reject asymmetric listings).
+// edge, once each and with equal weights; asymmetric listings, repeated
+// mentions and self-arcs are rejected.
 //
-// The header is not trusted: all O(n) allocation is deferred until n
-// adjacency lines have actually been read, so a tiny input claiming a huge
-// vertex count fails fast instead of exhausting memory.
+// Each adjacency line is parsed straight into CSR row arrays, and the rows
+// are finished by the same linear-time core as Builder.Build. The header is
+// not trusted: the row arrays grow with the lines actually read (or are
+// presized from the input's own length when the reader reports one), and
+// all O(n) allocation is deferred until n adjacency lines have been read,
+// so a tiny input claiming a huge vertex count fails fast instead of
+// exhausting memory.
 func ReadMETIS(r io.Reader) (*Graph, error) {
+	size := 0 // bytes of input, when the reader knows (strings, bytes)
+	if sized, ok := r.(interface{ Len() int }); ok {
+		size = sized.Len()
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line, err := nextDataLine(sc)
+	raw, err := nextLine(sc, true)
 	if err != nil {
 		return nil, fmt.Errorf("graph: missing header: %w", err)
 	}
+	line := string(raw)
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
 		return nil, fmt.Errorf("graph: malformed header %q", line)
@@ -110,44 +120,41 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 		hasEW = code[2] == '1'
 	}
 
-	// Each undirected edge must be mentioned exactly twice, once per
-	// endpoint; mention tracks which endpoint spoke first so a vertex
-	// repeating its own mention cannot masquerade as the confirmation.
-	type mention struct {
-		w         float64
-		from      int32
-		confirmed bool
-	}
-	seen := make(map[[2]int32]mention)
-	var vwgts []float64 // grown per line read, so memory tracks input size
-	if hasVW {
-		vwgts = make([]float64, 0)
-	}
+	// A known input size bounds the arcs (each takes two bytes or more), so
+	// the rows can be presized without trusting the header.
+	arcs := min(2*m, size/2)
+	nbr := make([]int32, 0, arcs)
+	wt := make([]float64, 0, arcs)
+	xadj := []int32{0}
+	var vwgt []float64
+	var toks [][]byte
 	for v := 0; v < n; v++ {
-		line, err := nextBodyLine(sc)
+		line, err := nextLine(sc, false)
 		if err != nil {
 			return nil, fmt.Errorf("graph: missing adjacency line for vertex %d: %w", v+1, err)
 		}
-		toks := strings.Fields(line)
+		toks = splitFields(toks, line)
 		i := 0
 		if hasVW {
 			if len(toks) == 0 {
 				return nil, fmt.Errorf("graph: vertex %d: missing weight", v+1)
 			}
-			vw, err := strconv.ParseFloat(toks[0], 64)
+			vw, err := parseFloat(toks[0])
 			if err != nil {
 				return nil, fmt.Errorf("graph: vertex %d: bad weight: %w", v+1, err)
 			}
-			if !(vw > 0) || math.IsInf(vw, 1) {
+			if !positiveFinite(vw) {
 				return nil, fmt.Errorf("graph: vertex %d: weight %g not positive and finite", v+1, vw)
 			}
-			vwgts = append(vwgts, vw)
+			vwgt = append(vwgt, vw)
 			i = 1
 		}
 		for i < len(toks) {
-			u, err := strconv.Atoi(toks[i])
-			if err != nil {
-				return nil, fmt.Errorf("graph: vertex %d: bad neighbor %q: %w", v+1, toks[i], err)
+			u, ok := decimal(toks[i])
+			if !ok {
+				if u, err = strconv.Atoi(string(toks[i])); err != nil {
+					return nil, fmt.Errorf("graph: vertex %d: bad neighbor %q: %w", v+1, toks[i], err)
+				}
 			}
 			if u < 1 || u > n {
 				return nil, fmt.Errorf("graph: vertex %d: neighbor %d out of range [1,%d]", v+1, u, n)
@@ -158,86 +165,116 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 				if i >= len(toks) {
 					return nil, fmt.Errorf("graph: vertex %d: neighbor %d missing edge weight", v+1, u)
 				}
-				w, err = strconv.ParseFloat(toks[i], 64)
-				if err != nil {
+				if w, err = parseFloat(toks[i]); err != nil {
 					return nil, fmt.Errorf("graph: vertex %d: bad edge weight: %w", v+1, err)
 				}
-				if !(w > 0) || math.IsInf(w, 1) {
+				if !positiveFinite(w) {
 					return nil, fmt.Errorf("graph: vertex %d: edge weight %g not positive and finite", v+1, w)
 				}
 				i++
 			}
-			a, c := int32(v), int32(u-1)
-			if a > c {
-				a, c = c, a
-			}
-			key := [2]int32{a, c}
-			switch prev, ok := seen[key]; {
-			case !ok:
-				seen[key] = mention{w: w, from: int32(v)}
-			case prev.confirmed:
-				return nil, fmt.Errorf("graph: edge {%d,%d} listed more than twice", a+1, c+1)
-			case prev.from == int32(v):
-				return nil, fmt.Errorf("graph: vertex %d lists neighbor %d twice", v+1, u)
-			case prev.w != w:
-				return nil, fmt.Errorf("graph: edge {%d,%d} listed with weights %g and %g", a+1, c+1, prev.w, w)
-			default:
-				seen[key] = mention{w: w, from: prev.from, confirmed: true}
-			}
+			nbr = append(nbr, int32(u-1))
+			wt = append(wt, w)
 		}
+		xadj = append(xadj, int32(len(nbr)))
 	}
 
-	// Both endpoints have reported; only now is O(n) allocation justified.
-	b := NewBuilder(n)
-	b.Reserve(len(seen))
-	for v, w := range vwgts {
-		b.SetVertexWeight(v, w)
+	// All n lines are in; only now is O(n) allocation justified. Each
+	// vertex must be named exactly as often as it names others, and the
+	// rows must hold two arcs per declared edge, before finish may
+	// transpose them; finish rejects the remaining asymmetries.
+	named := make([]int32, n)
+	for _, u := range nbr {
+		named[u]++
 	}
-	for key, h := range seen {
-		if !h.confirmed {
-			return nil, fmt.Errorf("graph: edge {%d,%d} listed by only one endpoint", key[0]+1, key[1]+1)
+	for v, c := range named {
+		if d := xadj[v+1] - xadj[v]; d != c {
+			return nil, fmt.Errorf("graph: vertex %d lists %d neighbors but is listed by %d", v+1, d, c)
 		}
-		b.AddEdge(int(key[0]), int(key[1]), h.w)
 	}
-	g, err := b.Build()
+	if len(nbr) != 2*m {
+		return nil, fmt.Errorf("graph: header declares %d edges, but the adjacency lists name %d neighbors", m, len(nbr))
+	}
+	if !hasVW {
+		vwgt = make([]float64, n)
+		for v := range vwgt {
+			vwgt[v] = 1
+		}
+	}
+	g, err := finish(xadj, nbr, wt, vwgt, nil)
 	if err != nil {
-		return nil, err
-	}
-	if g.NumEdges() != m {
-		return nil, fmt.Errorf("graph: header declares %d edges, found %d", m, g.NumEdges())
+		return nil, fmt.Errorf("graph: adjacency lists disagree (0-based ids): %w", err)
 	}
 	return g, nil
 }
 
-// nextDataLine returns the next non-blank, non-comment line; used for the
-// header, where blank lines carry no meaning.
-func nextDataLine(sc *bufio.Scanner) (string, error) {
+// nextLine returns the next non-comment line, trimmed, valid until the
+// next Scan. With skipBlank it also skips blank lines (the header's rule);
+// in the body a blank line is meaningful: it is the empty adjacency list of
+// an isolated vertex, exactly what WriteMETIS emits for one.
+func nextLine(sc *bufio.Scanner, skipBlank bool) ([]byte, error) {
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if (skipBlank && len(line) == 0) || bytes.HasPrefix(line, []byte("%")) {
 			continue
 		}
 		return line, nil
 	}
 	if err := sc.Err(); err != nil {
-		return "", err
+		return nil, err
 	}
-	return "", io.ErrUnexpectedEOF
+	return nil, io.ErrUnexpectedEOF
 }
 
-// nextBodyLine returns the next non-comment line. Unlike the header, a blank
-// body line is meaningful: it is the (empty) adjacency list of an isolated
-// vertex, exactly what WriteMETIS emits for one.
-func nextBodyLine(sc *bufio.Scanner) (string, error) {
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "%") {
-			continue
+// splitFields returns line's fields in dst's storage, split at white space
+// exactly as strings.Fields splits: byte by byte for ASCII lines, by
+// bytes.Fields for any other.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	dst = dst[:0]
+	start := -1
+	for i, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			return append(dst[:0], bytes.Fields(line)...)
+		case asciiSpace[c]:
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
 		}
-		return line, nil
 	}
-	if err := sc.Err(); err != nil {
-		return "", err
+	if start >= 0 {
+		dst = append(dst, line[start:])
 	}
-	return "", io.ErrUnexpectedEOF
+	return dst
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// decimal parses a token of one to nine ASCII digits, the whole of a
+// typical METIS file, without the string conversion strconv needs; ok is
+// false for anything else.
+func decimal(tok []byte) (x int, ok bool) {
+	if len(tok) == 0 || len(tok) > 9 {
+		return 0, false
+	}
+	for _, c := range tok {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		x = x*10 + int(c-'0')
+	}
+	return x, true
+}
+
+// parseFloat is strconv.ParseFloat on a token, exact and allocation-free
+// for the integer weights most METIS files carry.
+func parseFloat(tok []byte) (float64, error) {
+	if x, ok := decimal(tok); ok {
+		return float64(x), nil
+	}
+	return strconv.ParseFloat(string(tok), 64)
 }

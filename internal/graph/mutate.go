@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // EdgeEdit is one edit in a graph mutation: add a new edge, remove an
 // existing one, or change an existing edge's weight. Endpoints are 0-based
@@ -79,7 +76,7 @@ func (g *Graph) WithEdits(edits []EdgeEdit) (*Graph, error) {
 		default:
 			return nil, fmt.Errorf("graph: edit %d has unknown op %q (want add, remove or reweight)", i, e.Op)
 		}
-		if e.Op != "remove" && (!(w > 0) || math.IsInf(w, 1)) {
+		if e.Op != "remove" && !positiveFinite(w) {
 			return nil, fmt.Errorf("graph: edit %d sets non-positive or non-finite weight %g", i, e.W)
 		}
 		edited[k] = w

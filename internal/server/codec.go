@@ -159,6 +159,7 @@ func decodeEdgeList(spec GraphSpec) (*graph.Graph, error) {
 		return nil, badRequestf("graph: %d vertex weights for %d vertices", len(spec.VertexWeights), spec.N)
 	}
 	b := graph.NewBuilder(spec.N)
+	b.Reserve(len(spec.Edges))
 	for i, w := range spec.VertexWeights {
 		b.SetVertexWeight(i, w)
 	}

@@ -448,6 +448,7 @@ func TestMalformedPayloads(t *testing.T) {
 		{"self loop", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{1, 1}}}}, http.StatusBadRequest},
 		{"out of range", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0, 5}}}}, http.StatusBadRequest},
 		{"zero weight", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0, 1, 0}}}}, http.StatusBadRequest},
+		{"weights merge to +Inf", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0, 1, 1e308}, {0, 1, 1e308}}}}, http.StatusBadRequest},
 		{"bad metis header", PartitionRequest{K: 2, Graph: GraphSpec{METIS: "x y\n"}}, http.StatusBadRequest},
 		{"asymmetric metis", PartitionRequest{K: 2, Graph: GraphSpec{METIS: "2 1\n2\n\n"}}, http.StatusBadRequest},
 		{"vertex weight mismatch", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0, 1}}, VertexWeights: []float64{1}}}, http.StatusBadRequest},
