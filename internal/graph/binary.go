@@ -418,6 +418,9 @@ func decodeBinary(data []byte, alias bool) (*Graph, error) {
 	if err := g.rebuildDerived(); err != nil {
 		return nil, fmt.Errorf("graph: binary %w", err)
 	}
+	if err := g.checkTotals(); err != nil {
+		return nil, fmt.Errorf("graph: binary %w", err)
+	}
 	if got := ContentHash(g); hex.EncodeToString(got[:]) != info.Digest {
 		return nil, fmt.Errorf("graph: binary content digest mismatch (header %s, content %s)",
 			info.Digest[:12], hex.EncodeToString(got[:])[:12])

@@ -228,6 +228,12 @@ func TestDecodeBinaryRejects(t *testing.T) {
 	huge := append([]byte(nil), data[:binaryHeaderLen]...)
 	binary.LittleEndian.PutUint32(huge[8:], 0xffffffff)
 	cases["huge vertex count"] = huge
+	// Weight totals past maxTotal, built by the frozen Builder, which
+	// checks no totals.
+	heavy := NewBuilder(3)
+	heavy.AddEdge(0, 1, 1e308)
+	heavy.AddEdge(1, 2, 1e308)
+	cases["overflowing totals"] = EncodeBinary(mustReferenceBuild(heavy))
 
 	for name, bad := range cases {
 		if _, err := DecodeBinary(bad); err == nil {

@@ -10,8 +10,9 @@ import "fmt"
 // folded into that vertex's self-loop weight, together with the self-loop
 // weight its members already carried.
 //
-// The fine edges feed a Builder directly, so the CSR is assembled in
-// O(n + m + nc) by the same core as Build, with these fold orders:
+// The cut fine edges are bucketed by coarse endpoint straight from g's edge
+// arrays and merged by the same core as Build, so the CSR is assembled in
+// O(n + m + nc) with these fold orders:
 //
 //   - a coarse vertex weight is 0 + its members' weights in ascending fine id;
 //   - a coarse edge weight is a left fold of its fine edges' weights in
@@ -24,13 +25,13 @@ func Contract(g *Graph, toCoarse []int32, nc int) (*Graph, error) {
 	if len(toCoarse) != n {
 		return nil, fmt.Errorf("graph: contraction map has %d entries for %d vertices", len(toCoarse), n)
 	}
-	b := &Builder{n: nc, vwgt: make([]float64, nc), edges: make([]builderEdge, 0, m)}
+	vwgt := make([]float64, nc)
 	members := make([]int32, nc)
 	for v, c := range toCoarse {
 		if c < 0 || int(c) >= nc {
 			return nil, fmt.Errorf("graph: contraction maps vertex %d to out-of-range id %d", v, c)
 		}
-		b.vwgt[c] += g.vwgt[v]
+		vwgt[c] += g.vwgt[v]
 		members[c]++
 	}
 	for c, k := range members {
@@ -38,56 +39,63 @@ func Contract(g *Graph, toCoarse []int32, nc int) (*Graph, error) {
 			return nil, fmt.Errorf("graph: contraction leaves coarse vertex %d without members", c)
 		}
 	}
-	// The cut fine edges enter the builder in ascending edge id, the order
-	// their weights fold in; the internal ones fold into self-loops.
+
+	// Bucket the cut fine edges by coarse endpoint, both directions, in
+	// ascending edge id, the order their weights fold in; fold the internal
+	// ones into self-loops on the way.
+	start := make([]int32, nc+1)
+	var lwgt []float64
 	for e := 0; e < m; e++ {
 		cu, cv := toCoarse[g.eu[e]], toCoarse[g.ev[e]]
 		if cu != cv {
-			b.edges = append(b.edges, builderEdge{cu, cv, g.ewgt[e]})
+			start[cu+1]++
+			start[cv+1]++
 			continue
 		}
-		if b.lwgt == nil {
-			b.lwgt = make([]float64, nc)
+		if lwgt == nil {
+			lwgt = make([]float64, nc)
 		}
-		b.lwgt[cu] += g.ewgt[e]
+		lwgt[cu] += g.ewgt[e]
 	}
 	for v, l := range g.lwgt {
 		if l > 0 {
-			if b.lwgt == nil {
-				b.lwgt = make([]float64, nc)
+			if lwgt == nil {
+				lwgt = make([]float64, nc)
 			}
-			b.lwgt[toCoarse[v]] += l
+			lwgt[toCoarse[v]] += l
 		}
 	}
-	cg, err := b.assemble()
+	nbr, wt, slot := buckets(start)
+	for e := 0; e < m; e++ {
+		cu, cv := toCoarse[g.eu[e]], toCoarse[g.ev[e]]
+		if cu == cv {
+			continue
+		}
+		w := g.ewgt[e]
+		nbr[slot[cu]], wt[slot[cu]] = cv, w
+		slot[cu]++
+		nbr[slot[cv]], wt[slot[cv]] = cu, w
+		slot[cv]++
+	}
+	cg, err := mergeRows(start, nbr, wt, slot, vwgt, lwgt)
 	if err != nil {
 		return nil, fmt.Errorf("graph: contraction: %w", err)
 	}
 	return cg, nil
 }
 
-// assemble is the linear-time CSR assembly behind Build and Contract (and
-// so Relabel, WithEdits and every generator). It buckets both arcs of each
-// buffered edge by endpoint with a stable counting sort, so every row lists
-// its arcs in insertion order; merges each row's parallel arcs through a
-// slot table, left-folding their weights in that order (both arcs of an
-// edge fold the same sequence, so they stay equal); and hands the merged
-// rows to finish. Edges may be stored in either orientation. The edge
-// buffer is consumed; errors carry no prefix.
+// assemble is the linear-time CSR assembly behind Build (and so WithEdits
+// and every generator). It buckets both arcs of each buffered edge by
+// endpoint with a stable counting sort, so every row lists its arcs in
+// insertion order, and hands the rows to mergeRows. Edges may be stored in
+// either orientation. The edge buffer is consumed; errors carry no prefix.
 func (b *Builder) assemble() (*Graph, error) {
-	n := b.n
-	start := make([]int32, n+1)
+	start := make([]int32, b.n+1)
 	for _, e := range b.edges {
 		start[e.u+1]++
 		start[e.v+1]++
 	}
-	for v := 0; v < n; v++ {
-		start[v+1] += start[v]
-	}
-	nbr := make([]int32, start[n])
-	wt := make([]float64, start[n])
-	slot := make([]int32, n)
-	copy(slot, start[:n])
+	nbr, wt, slot := buckets(start)
 	for _, e := range b.edges {
 		nbr[slot[e.u]], wt[slot[e.u]] = e.v, e.w
 		slot[e.u]++
@@ -95,14 +103,35 @@ func (b *Builder) assemble() (*Graph, error) {
 		slot[e.v]++
 	}
 	b.edges = nil
+	return mergeRows(start, nbr, wt, slot, b.vwgt, b.lwgt)
+}
 
-	// Merge in place, row by row: slot[d] is where neighbor d's arc sits if
-	// it is at or past the current row's output start. start becomes xadj.
+// buckets turns start, holding each row's arc count at start[v+1], into
+// row offsets, and returns the arc arrays to scatter into plus each row's
+// write cursor.
+func buckets(start []int32) (nbr []int32, wt []float64, slot []int32) {
+	n := len(start) - 1
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	slot = make([]int32, n)
+	copy(slot, start[:n])
+	return make([]int32, start[n]), make([]float64, start[n]), slot
+}
+
+// mergeRows is the merge step Build and Contract share. It merges each
+// bucketed row's parallel arcs in place through a slot table, left-folding their weights in bucket order (both arcs of an
+// edge fold the same sequence, so they stay equal), and hands the merged
+// rows to finish. start becomes the xadj; slot is scratch of one entry per
+// vertex.
+func mergeRows(start, nbr []int32, wt []float64, slot []int32, vwgt, lwgt []float64) (*Graph, error) {
+	// slot[d] is where neighbor d's arc sits if it is at or past the
+	// current row's output start.
 	for v := range slot {
 		slot[v] = -1
 	}
 	out, lo := int32(0), int32(0)
-	for v := 0; v < n; v++ {
+	for v := range slot {
 		row, hi := out, start[v+1]
 		for i := lo; i < hi; i++ {
 			d, w := nbr[i], wt[i]
@@ -116,38 +145,21 @@ func (b *Builder) assemble() (*Graph, error) {
 		}
 		start[v+1], lo = out, hi
 	}
-	return finish(start, nbr, wt, b.vwgt, b.lwgt)
+	return finish(start, nbr, wt, vwgt, lwgt)
 }
 
 // finish completes a graph from rows that list every edge once from each
-// endpoint with equal weights: rows already ascending in exactly sized
-// arrays (sorted input) are kept as they are, any others are sorted by
-// transposeRows, and rebuildDerived validates the result and derives the
-// rest. Every row's arc count must equal the number of arcs naming its
-// vertex, or the transposition overruns. The arrays are consumed; errors
-// carry no prefix.
+// endpoint with equal weights, in any order: transposeRows sorts every
+// row, and rebuildDerived validates the result and derives the rest. Every
+// row's arc count must equal the number of arcs naming its vertex, or the
+// transposition overruns. The arrays are consumed; errors carry no prefix.
 func finish(xadj, nbr []int32, wt []float64, vwgt, lwgt []float64) (*Graph, error) {
-	g := &Graph{xadj: xadj, adjncy: nbr, adjwgt: wt, vwgt: vwgt, lwgt: lwgt}
-	if arcs := int(xadj[len(xadj)-1]); cap(nbr) != arcs || cap(wt) != arcs || !ascendingRows(xadj, nbr) {
-		g.adjncy, g.adjwgt = transposeRows(xadj, nbr, wt)
-	}
+	adjncy, adjwgt := transposeRows(xadj, nbr, wt)
+	g := &Graph{xadj: xadj, adjncy: adjncy, adjwgt: adjwgt, vwgt: vwgt, lwgt: lwgt}
 	if err := g.rebuildDerived(); err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-// ascendingRows reports whether every row lists strictly ascending
-// neighbors.
-func ascendingRows(xadj, nbr []int32) bool {
-	for v := 1; v < len(xadj); v++ {
-		for i := xadj[v-1] + 1; i < xadj[v]; i++ {
-			if nbr[i] <= nbr[i-1] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // transposeRows returns the adjacency of a symmetric CSR (rows in any

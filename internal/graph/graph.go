@@ -256,18 +256,16 @@ func (b *Builder) SetVertexWeight(v int, w float64) {
 func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build constructs the CSR graph. The builder must not be reused afterwards.
-// Parallel edges whose summed weight overflows to +Inf, and self-loops
-// summing to +Inf, are errors.
+// Parallel edges whose summed weight overflows to +Inf are errors, and so
+// are weight totals past maxTotal.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	for v, w := range b.lwgt {
-		if math.IsInf(w, 1) {
-			return nil, fmt.Errorf("graph: self-loops at vertex %d sum to %g, not finite", v, w)
-		}
-	}
 	g, err := b.assemble()
+	if err == nil {
+		err = g.checkTotals()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
@@ -286,3 +284,21 @@ func (b *Builder) MustBuild() *Graph {
 
 // positiveFinite reports whether w is a legal edge, vertex or loop weight.
 func positiveFinite(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
+// maxTotal bounds a graph's total vertex weight and its total edge plus
+// self-loop weight. Every weight sum later formed from an admitted graph —
+// coarse edges, loops and vertex weights at any contraction depth, part
+// weights, the volume 2·TotalEdgeWeight — then stays finite: rounding in
+// another summation order adds far less than the factor of two left.
+const maxTotal = math.MaxFloat64 / 2
+
+// checkTotals rejects a graph whose weight totals exceed maxTotal. The
+// constructors that admit outside input (Build, ReadMETIS, DecodeBinary)
+// call it; Contract and Induced need not, their sums stay within an
+// admitted graph's. Errors carry no prefix.
+func (g *Graph) checkTotals() error {
+	if t := g.totW + g.totLW; !(t <= maxTotal && g.totVW <= maxTotal) {
+		return fmt.Errorf("total edge and self-loop weight %g or total vertex weight %g exceeds %g", t, g.totVW, maxTotal)
+	}
+	return nil
+}

@@ -87,7 +87,6 @@ func TestBuilderRejectsNonFinite(t *testing.T) {
 		"NaN vertex":        func(b *Builder) { b.SetVertexWeight(1, math.NaN()) },
 		"+Inf loop":         func(b *Builder) { b.AddSelfLoop(2, inf) },
 		"parallels to +Inf": func(b *Builder) { b.AddEdge(0, 1, 1e308); b.AddEdge(1, 0, 1e308) },
-		"loops to +Inf":     func(b *Builder) { b.AddSelfLoop(2, 1e308); b.AddSelfLoop(2, 1e308) },
 	} {
 		b := NewBuilder(3)
 		feed(b)
@@ -97,6 +96,42 @@ func TestBuilderRejectsNonFinite(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "finite") {
 			t.Errorf("%s: error %q", name, err)
 		}
+	}
+}
+
+// TestBuilderRejectsOverflowingTotals covers graphs whose weights are each
+// finite but whose totals pass half the float64 range: contracting such a
+// graph can sum its weights to +Inf (a 4-cycle of 1e308 edges contracts to
+// one edge of 2e308), so Build rejects them, and accepts totals at the bound.
+func TestBuilderRejectsOverflowingTotals(t *testing.T) {
+	half := math.MaxFloat64 / 2
+	for name, feed := range map[string]func(*Builder){
+		"loops to +Inf": func(b *Builder) { b.AddSelfLoop(2, 1e308); b.AddSelfLoop(2, 1e308) },
+		"path of 1e308": func(b *Builder) { b.AddEdge(0, 1, 1e308); b.AddEdge(1, 2, 1e308) },
+		"4-cycle of 1e308": func(b *Builder) {
+			b.AddEdge(0, 1, 1e308)
+			b.AddEdge(1, 2, 1e308)
+			b.AddEdge(2, 3, 1e308)
+			b.AddEdge(3, 0, 1e308)
+		},
+		"edge past half":     func(b *Builder) { b.AddEdge(0, 1, 1e308) },
+		"edge and loop":      func(b *Builder) { b.AddEdge(0, 1, half); b.AddSelfLoop(3, half) },
+		"vertices past half": func(b *Builder) { b.SetVertexWeight(0, half); b.SetVertexWeight(1, half) },
+	} {
+		b := NewBuilder(4)
+		feed(b)
+		if g, err := b.Build(); err == nil {
+			t.Errorf("%s: built, totals %g edge, %g loop, %g vertex", name, g.TotalEdgeWeight(), g.TotalLoopWeight(), g.TotalVertexWeight())
+		} else if !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("%s: error %q", name, err)
+		}
+	}
+	b := NewBuilder(4)
+	b.AddEdge(0, 1, half/2)
+	b.AddEdge(2, 3, half/2)
+	b.SetVertexWeight(0, half-3)
+	if _, err := b.Build(); err != nil {
+		t.Errorf("totals at the bound: %v", err)
 	}
 }
 

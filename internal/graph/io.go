@@ -74,16 +74,11 @@ func WriteMETIS(w io.Writer, g *Graph) error {
 //
 // Each adjacency line is parsed straight into CSR row arrays, and the rows
 // are finished by the same linear-time core as Builder.Build. The header is
-// not trusted: the row arrays grow with the lines actually read (or are
-// presized from the input's own length when the reader reports one), and
-// all O(n) allocation is deferred until n adjacency lines have been read,
-// so a tiny input claiming a huge vertex count fails fast instead of
-// exhausting memory.
+// not trusted: the row arrays grow with the lines actually read, and all
+// O(n) allocation is deferred until n adjacency lines have been read, so a
+// tiny input claiming a huge vertex count fails fast instead of exhausting
+// memory.
 func ReadMETIS(r io.Reader) (*Graph, error) {
-	size := 0 // bytes of input, when the reader knows (strings, bytes)
-	if sized, ok := r.(interface{ Len() int }); ok {
-		size = sized.Len()
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	raw, err := nextLine(sc, true)
@@ -120,13 +115,9 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 		hasEW = code[2] == '1'
 	}
 
-	// A known input size bounds the arcs (each takes two bytes or more), so
-	// the rows can be presized without trusting the header.
-	arcs := min(2*m, size/2)
-	nbr := make([]int32, 0, arcs)
-	wt := make([]float64, 0, arcs)
+	var nbr []int32
+	var wt, vwgt []float64
 	xadj := []int32{0}
-	var vwgt []float64
 	var toks [][]byte
 	for v := 0; v < n; v++ {
 		line, err := nextLine(sc, false)
@@ -204,6 +195,9 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 	g, err := finish(xadj, nbr, wt, vwgt, nil)
 	if err != nil {
 		return nil, fmt.Errorf("graph: adjacency lists disagree (0-based ids): %w", err)
+	}
+	if err := g.checkTotals(); err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
 	}
 	return g, nil
 }

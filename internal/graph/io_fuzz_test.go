@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -44,19 +45,22 @@ var metisSeeds = []string{
 	"2 1\r\n2\r\n1\r\n",                             // CRLF line ends
 	"3 2\n2\u00a03\n1\u2028\n\u30001\n",             // Unicode spaces separate fields
 	"3 2\n+2 003\n1\n1\n",                           // signed and zero-padded neighbors
-	"3 2\n2 3\n% comment inside the body\n1\n1\n", // body comment line
-	"2 1 001\n2 1e0\n1 1.0\n",                     // one weight, two spellings
-	"2 1 001\n2 0x1p-2\n1 0.25\n",                 // hex float weight
-	"2 1 001\n2 1e400\n1 1e400\n",                 // weight overflows to +Inf
-	"2 1 001\n2 1_0\n1 10\n",                      // underscore in a weight
-	"2 1 011\n1.5 2 7\n2.5 1 7\n",                 // fractional vertex weights
-	"2 1\n99999999999999999999\n1\n",              // neighbor overflows int
-	"1 0\n1\n",                                    // vertex lists itself
-	"3 3\n2 3\n1 3\n1 2\n",                        // triangle
-	"3 2\n3 2\n1\n1\n",                            // descending neighbor order
-	"3 2\n2\n1 3\n\n",                             // asymmetric, balanced total arc count
-	"3 3\n2\n3\n1\n",                              // directed cycle: every vertex balanced, rows ascending
-	"3 2 001\n2 1 3 2\n1 1\n1 3\n",                // ascending rows, mismatched weight
+	"3 2\n2 3\n% comment inside the body\n1\n1\n",  // body comment line
+	"2 1 001\n2 1e0\n1 1.0\n",                      // one weight, two spellings
+	"2 1 001\n2 0x1p-2\n1 0.25\n",                  // hex float weight
+	"2 1 001\n2 1e400\n1 1e400\n",                  // weight overflows to +Inf
+	"2 1 001\n2 1_0\n1 10\n",                       // underscore in a weight
+	"2 1 011\n1.5 2 7\n2.5 1 7\n",                  // fractional vertex weights
+	"2 1\n99999999999999999999\n1\n",               // neighbor overflows int
+	"1 0\n1\n",                                     // vertex lists itself
+	"3 3\n2 3\n1 3\n1 2\n",                         // triangle
+	"3 2\n3 2\n1\n1\n",                             // descending neighbor order
+	"3 2\n2\n1 3\n\n",                              // asymmetric, balanced total arc count
+	"3 3\n2\n3\n1\n",                               // directed cycle: every vertex balanced, rows ascending
+	"3 2 001\n2 1 3 2\n1 1\n1 3\n",                 // ascending rows, mismatched weight
+	"2 1 001\n2 1e308\n1 1e308\n",                  // total edge weight past half the float64 range
+	"3 2 001\n2 1e308\n1 1e308 3 1e308\n2 1e308\n", // total edge weight overflows to +Inf
+	"2 0 010\n1e308\n1e308\n",                      // total vertex weight overflows to +Inf
 }
 
 // FuzzReadMETIS asserts the reader's contract on arbitrary input: it must
@@ -124,8 +128,10 @@ func FuzzReadMETIS(f *testing.F) {
 
 // FuzzReadMETISMatchesReference holds ReadMETIS to the frozen
 // referenceReadMETIS: on any input both must accept or both reject, and an
-// accepted graph must be identical in every array. It replays the in-code
-// seeds and the committed FuzzReadMETIS corpus.
+// accepted graph must be identical in every array. The one deliberate
+// difference: ReadMETIS also rejects what the reference accepts with
+// weight totals past maxTotal. It replays the in-code seeds and the
+// committed FuzzReadMETIS corpus.
 func FuzzReadMETISMatchesReference(f *testing.F) {
 	for _, s := range metisSeeds {
 		f.Add([]byte(s))
@@ -136,6 +142,9 @@ func FuzzReadMETISMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadMETIS(bytes.NewReader(data))
 		want, refErr := referenceReadMETIS(bytes.NewReader(data))
+		if refErr == nil && !(want.totW+want.totLW <= maxTotal && want.totVW <= maxTotal) {
+			want, refErr = nil, errors.New("totals past maxTotal")
+		}
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("ReadMETIS error %v, reference error %v on %q", err, refErr, data)
 		}

@@ -426,6 +426,12 @@ func TestMalformedPayloads(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 
 	square := GraphSpec{N: 4, Edges: [][]float64{{0, 1}, {1, 2}, {2, 3}, {3, 0}}}
+	// Every edge finite, but any matching contracts two of them into one
+	// coarse edge of 2e308 = +Inf.
+	heavyRing := GraphSpec{N: 64}
+	for v := 0; v < 64; v++ {
+		heavyRing.Edges = append(heavyRing.Edges, []float64{float64(v), float64((v + 1) % 64), 1e308})
+	}
 	cases := []struct {
 		name string
 		body any
@@ -449,6 +455,7 @@ func TestMalformedPayloads(t *testing.T) {
 		{"out of range", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0, 5}}}}, http.StatusBadRequest},
 		{"zero weight", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0, 1, 0}}}}, http.StatusBadRequest},
 		{"weights merge to +Inf", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0, 1, 1e308}, {0, 1, 1e308}}}}, http.StatusBadRequest},
+		{"coarsening sums to +Inf", PartitionRequest{K: 2, Method: "multilevel-kway", Graph: heavyRing}, http.StatusBadRequest},
 		{"bad metis header", PartitionRequest{K: 2, Graph: GraphSpec{METIS: "x y\n"}}, http.StatusBadRequest},
 		{"asymmetric metis", PartitionRequest{K: 2, Graph: GraphSpec{METIS: "2 1\n2\n\n"}}, http.StatusBadRequest},
 		{"vertex weight mismatch", PartitionRequest{K: 2, Graph: GraphSpec{N: 3, Edges: [][]float64{{0, 1}}, VertexWeights: []float64{1}}}, http.StatusBadRequest},
